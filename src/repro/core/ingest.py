@@ -1,16 +1,18 @@
 """Static vs dynamic ingestion orchestrators (§ 4.2–§ 6).
 
+Both run one feed through one :class:`~repro.core.predeploy.PredeployedJob`,
+invoked serially per batch; they differ only in the job's refresh policy:
+
 * :class:`StaticIngestion` — stock AsterixDB feed semantics (Model 3):
   enrichment state is built **once** when the feed starts and reused,
   stale, for the whole feed. Java UDFs ``initialize()`` once from the
   reference stores; SQL++ UDFs run against reference snapshots taken
   once and cached. Reference updates during the feed are never observed.
 
-* :class:`DynamicIngestion` — the paper's new framework (Model 2): a
-  computing job is invoked per batch and rebuilds all intermediate state
-  from a **fresh** store snapshot, so updates applied before a batch's
-  snapshot are reflected in that batch (record-level consistency,
-  footnote 4).
+* :class:`DynamicIngestion` — the paper's new framework (Model 2): the
+  computing job rebuilds all intermediate state from a **fresh** store
+  snapshot per batch, so updates applied before a batch's snapshot are
+  reflected in that batch (record-level consistency, footnote 4).
 
 Both return an :class:`IngestReport` with per-invocation timings — the
 quantities behind Figs 25–29: ``throughput`` (records/s),
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 from pyspark.sql import SparkSession
 
 from repro.core.feed import BATCH_1X, TweetFeed
-from repro.core.predeploy import AdhocJob, PredeployedJob
-from repro.enrich.udfs import EnrichmentUdf
+from repro.core.predeploy import ONCE, PER_BATCH, PredeployedJob, \
+    snapshot_provider
 from repro.storage.sink import StorageSink
 
 
@@ -38,8 +40,7 @@ class IngestReport:
     batch_size: int
     elapsed_s: float
     batch_times: list = field(default_factory=list)
-    setup_s: float = 0.0          # state-build before the feed (static only)
-    compile_s: float = 0.0        # plan compile time (predeploy accounting)
+    setup_s: float = 0.0          # the computing job's deploy() time
 
     @property
     def throughput(self) -> float:
@@ -61,8 +62,12 @@ class IngestReport:
         return len(self.batch_times) / self.elapsed_s if self.elapsed_s else 0.0
 
 
-class StaticIngestion:
-    """Feed with enrichment state frozen at start (stock AsterixDB)."""
+class SerialIngestion:
+    """A feed whose computing job runs once per batch in the caller's
+    thread; subclasses choose the report label and the refresh policy."""
+
+    framework: str       # IngestReport label
+    refresh: str         # PredeployedJob refresh policy
 
     def __init__(self, spark: SparkSession, udf, stores: dict,
                  sink: StorageSink, *, seed: int = 7):
@@ -72,111 +77,46 @@ class StaticIngestion:
         self.sink = sink
         self.seed = seed
 
+    def job(self) -> PredeployedJob:
+        """The feed's computing job, not yet deployed."""
+        return PredeployedJob(
+            self.spark, self.udf,
+            snapshot_provider(self.spark, self.udf, self.stores),
+            refresh=self.refresh,
+        )
+
     def run(self, n_records: int, batch_size: int = BATCH_1X) -> IngestReport:
         feed = TweetFeed(seed=self.seed)
+        job = self.job()
         setup0 = time.perf_counter()
-        enrich = self._frozen_enricher()
+        job.deploy()
         setup_s = time.perf_counter() - setup0
         times = []
         t0 = time.perf_counter()
         for batch in feed.batches(n_records, batch_size):
             b0 = time.perf_counter()
-            out = enrich(batch)
-            self.sink.append_pdf_local(out)
+            self.sink.append_pdf_local(job.invoke(batch))
             times.append(time.perf_counter() - b0)
         elapsed = time.perf_counter() - t0
         return IngestReport(
-            "static", _udf_name(self.udf), n_records, batch_size, elapsed,
-            times, setup_s=setup_s,
+            self.framework, udf_name(self.udf), n_records, batch_size,
+            elapsed, times, setup_s=setup_s,
         )
 
-    def _frozen_enricher(self):
-        """Build the once-per-feed state and return the per-batch closure."""
-        if self.udf is None:
-            return lambda batch: batch
-        if isinstance(self.udf, EnrichmentUdf):
-            # Snapshot once, cache, and reuse stale state for every batch —
-            # this is what Model 3 would compute with an in-memory build
-            # side (§ 4.3.4 case 1), and why it misses reference updates.
-            refs = {
-                name: self.stores[name].snapshot(self.spark).cache()
-                for name in self.udf.refs
-            }
-            for df in refs.values():
-                df.count()  # materialize the frozen state now
-            udf = self.udf
-            return lambda batch: udf.transform(
-                self.spark, self.spark.createDataFrame(batch), refs
-            ).toPandas()
-        # Java UDF: resource files loaded once at initialize (§ 3.3)
-        self.udf.initialize(
-            {
-                name: self.stores[name].snapshot_pdf(self.spark)
-                for name in self.udf.refs
-            }
-        )
-        return self.udf.evaluate
+
+class StaticIngestion(SerialIngestion):
+    """Feed with enrichment state frozen at start (stock AsterixDB)."""
+
+    framework = "static"
+    refresh = ONCE
 
 
-class DynamicIngestion:
+class DynamicIngestion(SerialIngestion):
     """The new framework: per-batch computing jobs over fresh snapshots."""
 
-    def __init__(self, spark: SparkSession, udf, stores: dict,
-                 sink: StorageSink, *, predeploy: bool = True, seed: int = 7):
-        self.spark = spark
-        self.udf = udf
-        self.stores = stores
-        self.sink = sink
-        self.predeploy = predeploy
-        self.seed = seed
-
-    def _ref_provider(self):
-        return {
-            name: self.stores[name].snapshot(self.spark)
-            for name in self.udf.refs
-        }
-
-    def run(self, n_records: int, batch_size: int = BATCH_1X) -> IngestReport:
-        feed = TweetFeed(seed=self.seed)
-        invoke, compile_getter = self._make_invoker()
-        times = []
-        t0 = time.perf_counter()
-        for batch in feed.batches(n_records, batch_size):
-            b0 = time.perf_counter()
-            out = invoke(batch)
-            self.sink.append_pdf_local(out)
-            times.append(time.perf_counter() - b0)
-        elapsed = time.perf_counter() - t0
-        return IngestReport(
-            "dynamic", _udf_name(self.udf), n_records, batch_size, elapsed,
-            times, compile_s=compile_getter(),
-        )
-
-    def _make_invoker(self):
-        if self.udf is None:
-            return (lambda batch: batch), (lambda: 0.0)
-        if isinstance(self.udf, EnrichmentUdf):
-            if self.predeploy:
-                job = PredeployedJob(self.spark, self.udf, self._ref_provider)
-                job.deploy()
-            else:
-                job = AdhocJob(self.spark, self.udf, self._ref_provider)
-            return job.invoke, (lambda: job.compile_s)
-        # Java UDF, dynamic: re-initialize from a fresh snapshot per batch —
-        # the per-batch state rebuild the paper measures in § 7.2.
-        udf = self.udf
-
-        def invoke(batch):
-            udf.initialize(
-                {
-                    name: self.stores[name].snapshot_pdf(self.spark)
-                    for name in udf.refs
-                }
-            )
-            return udf.evaluate(batch)
-
-        return invoke, (lambda: 0.0)
+    framework = "dynamic"
+    refresh = PER_BATCH
 
 
-def _udf_name(udf) -> str:
+def udf_name(udf) -> str:
     return "none" if udf is None else udf.name

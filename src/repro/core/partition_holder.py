@@ -10,10 +10,11 @@ other through in-memory structures:
 * an **active** holder receives frames **pushed** from another job and
   forwards them to its downstream operator (head of the storage job).
 
-Each holder registers with a :class:`PartitionHolderManager` under a
-``(holder_id, partition)`` key so jobs can locate their peer's holders,
-as in the paper. Queues are bounded: a full intake holder back-pressures
-the adapter, a full storage holder back-pressures computing jobs.
+Queues are bounded: a full intake holder back-pressures the adapter, a
+full storage holder back-pressures computing jobs. A failure on either
+side must not leave the other blocked on a full queue: a passive holder
+can be aborted by its consumer, and an active holder whose downstream
+failed keeps draining its queue so pushers return and see the error.
 """
 import queue
 import threading
@@ -50,6 +51,17 @@ class PassivePartitionHolder:
             self._closed.set()
             self._q.put(EOF)
 
+    def abort(self) -> None:
+        """The consumer gave up: refuse further frames and drop queued
+        ones, so a (single) producer blocked in ``put`` returns and its
+        next ``put`` raises."""
+        self._closed.set()
+        while True:
+            try:
+                self._q.get_nowait()
+            except queue.Empty:
+                return
+
     @property
     def depth(self) -> int:
         return self._q.qsize()
@@ -73,58 +85,31 @@ class ActivePartitionHolder:
         self._thread.start()
 
     def _run(self) -> None:
-        while True:
-            frame = self._q.get()
-            if frame is EOF:
-                return
+        while (frame := self._q.get()) is not EOF:
+            if self._error is not None:
+                continue  # downstream failed: drain so no pusher blocks
             try:
                 self.downstream(frame)
                 self.forwarded += 1
-            except BaseException as e:  # surfaced on join()
+            except BaseException as e:  # surfaced on push/close_and_join
                 self._error = e
-                return
 
     def push(self, frame, timeout: float | None = None) -> None:
+        self._raise_if_failed()
+        self._q.put(frame, timeout=timeout)
+        # a put that waited for room may have been freed by the drain
+        self._raise_if_failed()
+
+    def _raise_if_failed(self) -> None:
         if self._error is not None:
             raise RuntimeError("downstream failed") from self._error
-        self._q.put(frame, timeout=timeout)
 
     def close_and_join(self, timeout: float | None = 30.0) -> None:
         self._q.put(EOF)
         self._thread.join(timeout=timeout)
-        if self._error is not None:
-            raise RuntimeError("downstream failed") from self._error
+        self._raise_if_failed()
 
     @property
     def depth(self) -> int:
         return self._q.qsize()
 
-
-class PartitionHolderManager:
-    """Per-node registry mapping holder ids to live holders (§ 5.3)."""
-
-    def __init__(self):
-        self._holders: dict = {}
-        self._lock = threading.Lock()
-
-    def register(self, holder) -> None:
-        with self._lock:
-            key = (holder.holder_id, holder.partition)
-            if key in self._holders:
-                raise ValueError(f"holder {key} already registered")
-            self._holders[key] = holder
-
-    def lookup(self, holder_id: str, partition: int = 0):
-        with self._lock:
-            try:
-                return self._holders[(holder_id, partition)]
-            except KeyError:
-                raise KeyError(f"no holder ({holder_id}, {partition})") from None
-
-    def unregister(self, holder_id: str, partition: int = 0) -> None:
-        with self._lock:
-            self._holders.pop((holder_id, partition), None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._holders)

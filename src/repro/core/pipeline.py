@@ -16,7 +16,9 @@ Three concurrently running layers joined by partition holders:
   frames and appends them to the sink.
 
 Intake and storage run for the feed's lifetime; computing jobs are per
-batch. Bounded holders give real back-pressure both ways.
+batch. Bounded holders give real back-pressure both ways. A failure in
+any layer stops the feed: the intake holder is aborted, what was already
+pushed is stored, both threads are joined, and the error propagates.
 """
 import threading
 import time
@@ -25,13 +27,15 @@ from dataclasses import dataclass
 from pyspark.sql import SparkSession
 
 from repro.core.feed import BATCH_1X, TweetAdapter, TweetParser
-from repro.core.ingest import IngestReport
+from repro.core.ingest import IngestReport, udf_name
 from repro.core.partition_holder import (
-    EOF, ActivePartitionHolder, PartitionHolderManager, PassivePartitionHolder,
+    EOF, ActivePartitionHolder, PassivePartitionHolder,
 )
-from repro.core.predeploy import PredeployedJob
-from repro.enrich.udfs import EnrichmentUdf
+from repro.core.predeploy import PredeployedJob, snapshot_provider
 from repro.storage.sink import StorageSink
+
+#: Longest the computing loop blocks on an empty intake holder at a time.
+TAKE_TIMEOUT_S = 1.0
 
 
 @dataclass
@@ -56,22 +60,23 @@ class DecoupledPipeline:
         self.sink = sink
         self.holder_capacity = holder_capacity
         self.seed = seed
-        self.manager = PartitionHolderManager()
 
     def run(self, n_records: int, batch_size: int = BATCH_1X) -> PipelineStats:
         adapter = TweetAdapter(seed=self.seed)
         parser = TweetParser()
 
+        # predeploy the computing job before the feed starts (§ 6.1)
+        job = PredeployedJob(
+            self.spark, self.udf,
+            snapshot_provider(self.spark, self.udf, self.stores),
+        )
+        setup0 = time.perf_counter()
+        job.deploy()
+        setup_s = time.perf_counter() - setup0
+
         intake_holder = PassivePartitionHolder(
             "intake", capacity=self.holder_capacity
         )
-        storage_holder = ActivePartitionHolder(
-            "storage", downstream=self.sink.append_pdf_local,
-            capacity=self.holder_capacity,
-        )
-        self.manager.register(intake_holder)
-        self.manager.register(storage_holder)
-
         intake_error: list = []
 
         def intake_job():
@@ -84,36 +89,39 @@ class DecoupledPipeline:
                 intake_holder.close()
 
         intake = threading.Thread(target=intake_job, name="intake-job")
-
-        # predeploy the computing job before the feed starts (§ 6.1)
-        invoke = self._computing_job()
+        storage_holder = ActivePartitionHolder(
+            "storage", downstream=self.sink.append_pdf_local,
+            capacity=self.holder_capacity,
+        )
 
         times = []
         t0 = time.perf_counter()
         intake.start()
-        # Active Feed Manager loop: one computing job at a time per feed
-        while True:
-            frame = intake_holder.take(timeout=1.0)
-            if frame is None:
-                continue
-            if frame is EOF:
-                break
-            b0 = time.perf_counter()
-            batch = parser.parse(frame)
-            out = invoke(batch)
-            storage_holder.push(out)
-            times.append(time.perf_counter() - b0)
-        intake.join(timeout=30)
-        storage_holder.close_and_join()
+        try:
+            # Active Feed Manager loop: one computing job at a time per feed
+            while True:
+                frame = intake_holder.take(timeout=TAKE_TIMEOUT_S)
+                if frame is None:
+                    continue
+                if frame is EOF:
+                    break
+                b0 = time.perf_counter()
+                storage_holder.push(job.invoke(parser.parse(frame)))
+                times.append(time.perf_counter() - b0)
+        except BaseException:
+            # a failed layer stops the feed: unblock and refuse intake
+            intake_holder.abort()
+            raise
+        finally:
+            intake.join()
+            storage_holder.close_and_join()  # drains what was pushed
         elapsed = time.perf_counter() - t0
         if intake_error:
             raise RuntimeError("intake job failed") from intake_error[0]
 
-        self.manager.unregister("intake")
-        self.manager.unregister("storage")
-        name = "none" if self.udf is None else self.udf.name
         report = IngestReport(
-            "dynamic-decoupled", name, n_records, batch_size, elapsed, times
+            "dynamic-decoupled", udf_name(self.udf), n_records, batch_size,
+            elapsed, times, setup_s=setup_s,
         )
         return PipelineStats(
             report=report,
@@ -121,29 +129,3 @@ class DecoupledPipeline:
             batches_computed=len(times),
             batches_stored=storage_holder.forwarded,
         )
-
-    def _computing_job(self):
-        if self.udf is None:
-            return lambda batch: batch
-        if isinstance(self.udf, EnrichmentUdf):
-            def provider():
-                return {
-                    name: self.stores[name].snapshot(self.spark)
-                    for name in self.udf.refs
-                }
-
-            job = PredeployedJob(self.spark, self.udf, provider)
-            job.deploy()
-            return job.invoke
-        udf = self.udf
-
-        def invoke(batch):
-            udf.initialize(
-                {
-                    name: self.stores[name].snapshot_pdf(self.spark)
-                    for name in udf.refs
-                }
-            )
-            return udf.evaluate(batch)
-
-        return invoke

@@ -4,11 +4,12 @@ The thread pipeline in ``repro.core.pipeline`` is the measured
 reproduction of the paper's architecture; this module drives the *same*
 enrichment through Spark Structured Streaming, which is the idiomatic
 production shape (per the reproduction band): a file-source stream of
-NDJSON tweet frames, ``foreachBatch`` as the per-batch computing job —
-re-snapshotting the LSM reference stores at every invocation so each
-micro-batch observes current reference data — and the storage sink as
-the terminal write. ``maxFilesPerTrigger=1`` aligns one intake frame
-with one computing-job invocation, mirroring the paper's batching.
+NDJSON tweet frames, ``foreachBatch`` invoking the feed's predeployed
+computing job — which re-snapshots the LSM reference stores at every
+invocation so each micro-batch observes current reference data — and
+the storage sink as the terminal write. ``maxFilesPerTrigger=1`` aligns
+one intake frame with one computing-job invocation, mirroring the
+paper's batching.
 """
 import os
 
@@ -19,7 +20,7 @@ from pyspark.sql.types import (
 )
 
 from repro.core.feed import BATCH_1X, TweetAdapter
-from repro.enrich.udfs import EnrichmentUdf
+from repro.core.predeploy import PredeployedJob, snapshot_provider
 from repro.storage.sink import StorageSink
 
 #: Wire schema of the adapter's NDJSON frames (user fields nested).
@@ -57,30 +58,30 @@ def write_feed_files(input_dir: str, n_records: int,
     return n
 
 
-def run_streaming_ingestion(spark: SparkSession, udf: EnrichmentUdf,
-                            stores: dict, sink: StorageSink, *,
+def run_streaming_ingestion(spark: SparkSession, udf, stores: dict,
+                            sink: StorageSink, *,
                             input_dir: str, checkpoint_dir: str,
                             timeout_s: float = 300.0) -> int:
     """Consume all staged frames through foreachBatch; returns batch count.
 
-    Each ``foreachBatch`` call is one computing job: it re-snapshots the
-    reference stores (fresh intermediate state — the dynamic semantics)
-    and appends enriched rows to the sink. Uses ``availableNow`` so the
-    query drains the staged feed and stops, like stopping a feed (§ 6.1).
+    Each ``foreachBatch`` call is one invocation of the feed's computing
+    job, which re-snapshots the reference stores (fresh intermediate
+    state — the dynamic semantics); its enriched rows go to the sink.
+    Uses ``availableNow`` so the query drains the staged feed and stops,
+    like stopping a feed (§ 6.1).
     """
+    job = PredeployedJob(spark, udf, snapshot_provider(spark, udf, stores))
+    job.deploy()
     batches = {"n": 0}
 
-    def computing_job(batch_df, batch_id: int) -> None:
+    def on_batch(batch_df, batch_id: int) -> None:
         pdf = batch_df.toPandas()
         if pdf.empty:
             return
         # un-nest the wire format into the parsed record shape
         pdf["user_screen_name"] = [u["screen_name"] for u in pdf["user"]]
         pdf["user_name"] = [u["name"] for u in pdf["user"]]
-        pdf = pdf.drop(columns=["user"])
-        refs = {name: stores[name].snapshot(spark) for name in udf.refs}
-        enriched = udf.transform(spark, spark.createDataFrame(pdf), refs)
-        sink.append_pdf_local(enriched.toPandas())
+        sink.append_pdf_local(job.invoke(pdf.drop(columns=["user"])))
         batches["n"] += 1
 
     stream = (
@@ -90,7 +91,7 @@ def run_streaming_ingestion(spark: SparkSession, udf: EnrichmentUdf,
         .withColumn("created_at", F.col("created_at").cast("timestamp"))
     )
     query = (
-        stream.writeStream.foreachBatch(computing_job)
+        stream.writeStream.foreachBatch(on_batch)
         .option("checkpointLocation", checkpoint_dir)
         .trigger(availableNow=True)
         .start()

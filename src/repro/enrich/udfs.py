@@ -12,9 +12,7 @@ a :class:`EnrichmentUdf` with:
   the caller, not here);
 * ``oracle_sql`` — an independent DuckDB formulation of the same
   enrichment over tables named ``tweets`` + the reference names, used by
-  ``repro.oracle.assert_equivalent``;
-* ``stateful`` — whether the plan builds intermediate state from
-  reference data (every UDF here except the motivating UDF 1).
+  ``repro.oracle.assert_equivalent``.
 
 Output convention: every transform returns the full tweet batch
 (``SELECT t.*``) plus the enrichment columns; list-valued enrichments
@@ -23,7 +21,7 @@ orderable (the oracle cannot compare arrays). Deviations from the
 appendix SQL, and why, are flagged ``# NOTE`` inline.
 """
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
@@ -54,7 +52,6 @@ class EnrichmentUdf:
     transform: Callable              # (spark, batch_df, refs) -> DataFrame
     oracle_sql: str                  # DuckDB equivalent over the same tables
     enrich_cols: tuple               # columns the transform adds
-    stateful: bool = True
     uses_index: bool = False
 
 
@@ -74,7 +71,7 @@ def _q1(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
         .join(s, batch["country"] == s["country_code"], "left")
         .select("id", "safety_rating")
     )
-    return _attach(batch, per_id, {"safety_rating": ""}).fillna({"safety_rating": ""})
+    return _attach(batch, per_id, {"safety_rating": ""})
 
 
 _Q1_SQL = """

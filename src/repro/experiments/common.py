@@ -21,7 +21,6 @@ from repro.storage.lsm_store import LsmStore
 from repro.storage.sink import StorageSink
 
 BENCH_REF_SCALE = 0.1
-BENCH_DISTRICT_SCALE = 1.0   # paper's 500 districts... scaled below
 #: districts at bench scale: 50 (paper 500) — keeps person-in-district
 #: joins ~1:1 while persons run at 100K (paper substitution: 1e9 → 1e6·0.1)
 BENCH_DISTRICT_REF_SCALE = 0.1

@@ -12,7 +12,6 @@ import threading
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 
 class StorageSink:
@@ -29,35 +28,11 @@ class StorageSink:
         self._batches_written = 0
         os.makedirs(path, exist_ok=True)
 
-    def append(self, batch) -> int:
-        """Write one enriched batch (Spark or pandas frame); returns rows."""
-        df = (
-            batch
-            if isinstance(batch, DataFrame)
-            else self.spark.createDataFrame(batch)
-        )
-        df = df.withColumn(
-            "_bucket", F.pmod(F.hash(F.col(self.key)), F.lit(self.n_partitions))
-        )
-        # Persist so the (possibly expensive) upstream enrichment plan is
-        # evaluated once for both the write and the row count.
-        df = df.persist()
-        try:
-            df.write.mode("append").partitionBy("_bucket").parquet(self.path)
-            n = df.count()
-        finally:
-            df.unpersist()
-        with self._lock:
-            self._rows_written += n
-            self._batches_written += 1
-        return n
-
     def append_pdf_local(self, pdf: pd.DataFrame) -> int:
-        """Driver-local parquet append for high-frequency small batches.
+        """Write one enriched batch as a parquet file; returns rows.
 
-        Same storage semantics (hash bucket column, parquet append) but
-        without a Spark job per batch — used where the measured quantity
-        is the enrichment pipeline, not the sink.
+        Driver-local: no Spark job per batch, so high-frequency small
+        batches pay only the hash-bucket column and the parquet write.
         """
         pdf = pdf.copy()
         pdf["_bucket"] = pd.util.hash_pandas_object(
@@ -85,5 +60,5 @@ class StorageSink:
             return self._batches_written
 
     def read(self) -> DataFrame:
-        """Read back everything written so far (both append paths)."""
+        """Read back everything written so far."""
         return self.spark.read.parquet(self.path)

@@ -1,122 +1,21 @@
-"""Synthetic OLAP data at a configurable scale factor.
+"""Synthetic IDEA-paper workloads: the tweet stream and every reference
+dataset a UDF reads (paper § 7 and appendix).
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+Sizes are set by ``ref_scale`` relative to the paper's cardinalities
+(``PAPER_CARDINALITY``): tests use ref_scale=0.01, benchmarks 0.1 —
+shapes depend on relative sizes (DESIGN.md § 3). Generators are
+deterministic in ``seed`` so the DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-_N_LINEITEM_PER_SF = 6_000_000
-_N_ORDERS_PER_SF = 1_500_000
-_N_CUSTOMER_PER_SF = 150_000
-_N_PART_PER_SF = 200_000
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    n = max(1, int(_N_LINEITEM_PER_SF * sf))
-    n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "l_orderkey": g.integers(1, n_orders + 1, n),
-            "l_partkey": g.integers(1, n_part + 1, n),
-            "l_linenumber": g.integers(1, 8, n),
-            "l_quantity": g.integers(1, 51, n).astype("float64"),
-            "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
-            "l_discount": (g.random(n) * 0.1).round(2),
-            "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    n = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1),
-            "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
-            "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "c_custkey": np.arange(1, n + 1),
-            "c_nationkey": g.integers(0, 25, n),
-            "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
-
-
-# ---------------------------------------------------------------------------
-# IDEA-paper workloads: tweet stream + reference datasets (paper § 7, appendix)
-# ---------------------------------------------------------------------------
-# Paper cardinalities at ref_scale=1.0. Tests use ref_scale=0.01, benchmarks
-# ref_scale=0.1 — shapes depend on relative sizes (DESIGN.md § 3). The
-# Persons dataset is substituted: 1e9 rows in the paper, 1e6 here at scale 1.
+# Paper cardinalities at ref_scale=1.0. The Persons dataset is substituted:
+# 1e9 rows in the paper, 1e6 here at scale 1.
 PAPER_CARDINALITY = {
     "safety_ratings": 500_000,
     "religious_populations": 500_000,
@@ -129,7 +28,6 @@ PAPER_CARDINALITY = {
     "average_incomes": 500,
     "persons": 1_000_000,  # substituted from 1e9 (DESIGN.md § 3)
     "attack_events": 5_000,
-    "sensitive_words": 10_000,
 }
 
 N_COUNTRIES = 500          # tweet/reference country-code domain
@@ -368,21 +266,6 @@ def attack_events_pdf(*, ref_scale: float = 0.01, seed: int = 21) -> pd.DataFram
     )
 
 
-def sensitive_words_pdf(*, ref_scale: float = 0.01, seed: int = 22) -> pd.DataFrame:
-    """SensitiveWords(country, word) — the motivating UDF-2 reference set."""
-    n = _scaled("sensitive_words", ref_scale)
-    g = _rng(seed)
-    words = ["alpha", "bravo", "delta", "echo", "light", "storm",
-             "bomb", "river", "cloud", "stone", "ember", "night"]
-    return pd.DataFrame(
-        {
-            "word_id": ["w%06d" % i for i in range(n)],
-            "country": g.choice(_countries(), n),
-            "word": g.choice(words, n),
-        }
-    )
-
-
 # name -> (generator, primary key) for every reference dataset a UDF uses
 REFERENCE_GENERATORS = {
     "safety_ratings": (safety_ratings_pdf, "country_code"),
@@ -396,5 +279,4 @@ REFERENCE_GENERATORS = {
     "average_incomes": (average_incomes_pdf, "district_area_id"),
     "persons": (persons_pdf, "person_id"),
     "attack_events": (attack_events_pdf, "attack_record_id"),
-    "sensitive_words": (sensitive_words_pdf, "word_id"),
 }

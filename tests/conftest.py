@@ -35,7 +35,6 @@ def ref_pdfs():
         ),
         "persons": synth_data.persons_pdf(ref_scale=TEST_REF_SCALE),
         "attack_events": synth_data.attack_events_pdf(ref_scale=TEST_REF_SCALE),
-        "sensitive_words": synth_data.sensitive_words_pdf(ref_scale=TEST_REF_SCALE),
     }
 
 

@@ -5,12 +5,11 @@ AsterixDB, § 4.3.4); dynamic enrichment rebuilds state each computing
 job and therefore observes reference updates (§ 5). These tests pin both
 behaviours down deterministically, plus report accounting.
 """
-import pandas as pd
 import pytest
 
 from repro import synth_data
 from repro.core.ingest import DynamicIngestion, IngestReport, StaticIngestion
-from repro.core.predeploy import AdhocJob, PredeployedJob
+from repro.core.predeploy import ONCE, PER_BATCH, PredeployedJob
 from repro.enrich import java_udfs, udfs
 from repro.storage.lsm_store import LsmStore
 from repro.storage.sink import StorageSink
@@ -59,10 +58,11 @@ def test_static_sqlpp_state_is_stale(spark, ratings_store, sink, ref_pdfs):
     st = StaticIngestion(
         spark, udfs.SAFETY_RATING, {"safety_ratings": ratings_store}, sink
     )
-    enrich = st._frozen_enricher()
+    job = st.job()
+    job.deploy()
     batch = synth_data.tweets_pdf(30, seed=7)
     _upsert_all_to_z(ratings_store, ref_pdfs)
-    out = enrich(batch)
+    out = job.invoke(batch)
     assert not (out["safety_rating"] == "Z").any()
 
 
@@ -71,12 +71,13 @@ def test_dynamic_sqlpp_sees_updates(spark, ratings_store, sink, ref_pdfs):
     dyn = DynamicIngestion(
         spark, udfs.SAFETY_RATING, {"safety_ratings": ratings_store}, sink
     )
-    invoke, _ = dyn._make_invoker()
+    job = dyn.job()
+    job.deploy()
     batch = synth_data.tweets_pdf(30, seed=7)
-    before = invoke(batch)
+    before = job.invoke(batch)
     assert not (before["safety_rating"] == "Z").any()
     _upsert_all_to_z(ratings_store, ref_pdfs)
-    after = invoke(batch)
+    after = job.invoke(batch)
     assert (after["safety_rating"] == "Z").all()
 
 
@@ -85,10 +86,11 @@ def test_static_java_state_is_stale(spark, ratings_store, sink, ref_pdfs):
         spark, java_udfs.SafetyRatingJava(),
         {"safety_ratings": ratings_store}, sink,
     )
-    enrich = st._frozen_enricher()
+    job = st.job()
+    job.deploy()
     batch = synth_data.tweets_pdf(30, seed=7)
     _upsert_all_to_z(ratings_store, ref_pdfs)
-    out = enrich(batch)
+    out = job.invoke(batch)
     assert not (out["safety_rating"] == "Z").any()
 
 
@@ -97,10 +99,11 @@ def test_dynamic_java_sees_updates(spark, ratings_store, sink, ref_pdfs):
         spark, java_udfs.SafetyRatingJava(),
         {"safety_ratings": ratings_store}, sink,
     )
-    invoke, _ = dyn._make_invoker()
+    job = dyn.job()
+    job.deploy()
     batch = synth_data.tweets_pdf(30, seed=7)
     _upsert_all_to_z(ratings_store, ref_pdfs)
-    out = invoke(batch)
+    out = job.invoke(batch)
     assert (out["safety_rating"] == "Z").all()
 
 
@@ -149,32 +152,26 @@ def test_predeployed_invoke_before_deploy_raises(spark, ratings_store):
         job.invoke(synth_data.tweets_pdf(5, seed=7))
 
 
-def test_predeployed_compiles_once(spark, ratings_store):
-    job = PredeployedJob(
-        spark, udfs.SAFETY_RATING, _provider(spark, ratings_store)
-    )
-    job.deploy()
-    assert job.deployed
-    assert job.compile_s > 0
-    compile_after_deploy = job.compile_s
-    out = job.invoke(synth_data.tweets_pdf(20, seed=7))
-    assert "safety_rating" in out.columns and len(out) == 20
-    assert job.compile_s == compile_after_deploy  # invoking never recompiles
+def test_refresh_policy_sets_when_state_is_built(spark, ratings_store):
+    """ONCE reads the references only at deploy; PER_BATCH per invoke."""
+    batch = synth_data.tweets_pdf(20, seed=7)
+    for refresh, reads in ((ONCE, 1), (PER_BATCH, 3)):
+        calls = []
+
+        def provider():
+            calls.append(1)
+            return {"safety_ratings": ratings_store.snapshot(spark)}
+
+        job = PredeployedJob(spark, udfs.SAFETY_RATING, provider,
+                             refresh=refresh)
+        job.deploy()
+        for _ in range(2):
+            out = job.invoke(batch)
+            assert "safety_rating" in out.columns and len(out) == 20
+        assert len(calls) == reads, refresh
 
 
-def test_adhoc_compiles_every_invocation(spark, ratings_store):
-    job = AdhocJob(spark, udfs.SAFETY_RATING, _provider(spark, ratings_store))
-    batch = synth_data.tweets_pdf(10, seed=7)
-    job.invoke(batch)
-    c1 = job.compile_s
-    job.invoke(batch)
-    assert job.compile_s > c1
-
-
-def test_dynamic_predeploy_flag(spark, ratings_store, sink):
-    dyn = DynamicIngestion(
-        spark, udfs.SAFETY_RATING, {"safety_ratings": ratings_store}, sink,
-        predeploy=False,
-    )
-    report = dyn.run(n_records=40, batch_size=20)
-    assert report.compile_s > 0
+def test_predeployed_rejects_unknown_refresh(spark, ratings_store):
+    with pytest.raises(ValueError, match="refresh"):
+        PredeployedJob(spark, udfs.SAFETY_RATING,
+                       _provider(spark, ratings_store), refresh="on_version")

@@ -2,7 +2,6 @@
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
@@ -39,22 +38,22 @@ def test_row_order_irrelevant(spark):
     assert_equivalent(df, "SELECT k FROM t", t=pdf)
 
 
-def test_tpch_lite_join_oracle(spark):
-    """Provided TPC-H-lite generators + oracle self-check on a real join."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
+def test_tpch_lite_join_oracle(spark, tweets_200, ref_pdfs, ref_sdfs):
+    """Oracle self-check on a real join + group-by: tweets per rating."""
+    tweets_pdf, tweets = tweets_200
+    ratings = ref_sdfs["safety_ratings"]
     out = (
-        li.join(o, li["l_orderkey"] == o["o_orderkey"])
-        .groupBy("o_orderpriority")
+        tweets.join(ratings, tweets["country"] == ratings["country_code"])
+        .groupBy("safety_rating")
         .count()
         .withColumnRenamed("count", "n")
     )
     assert_equivalent(
         out,
         """
-        SELECT o.o_orderpriority AS o_orderpriority, count(*) AS n
-        FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-        GROUP BY o.o_orderpriority
+        SELECT s.safety_rating AS safety_rating, count(*) AS n
+        FROM tweets t JOIN safety_ratings s ON t.country = s.country_code
+        GROUP BY s.safety_rating
         """,
-        lineitem=li, orders=o,
+        tweets=tweets_pdf, safety_ratings=ref_pdfs["safety_ratings"],
     )

@@ -1,4 +1,4 @@
-"""Partition holders: queues, EOF protocol, back-pressure, registry."""
+"""Partition holders: queues, EOF protocol, back-pressure, failure."""
 import queue
 import threading
 import time
@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core.partition_holder import (
-    EOF, ActivePartitionHolder, PartitionHolderManager, PassivePartitionHolder,
+    EOF, ActivePartitionHolder, PassivePartitionHolder,
 )
 
 
@@ -107,30 +107,55 @@ def test_concurrent_producer_consumer():
     assert out == list(range(50))
 
 
-def test_manager_register_lookup_unregister():
-    m = PartitionHolderManager()
-    h = PassivePartitionHolder("intake", partition=3)
-    m.register(h)
-    assert m.lookup("intake", 3) is h
-    assert len(m) == 1
-    m.unregister("intake", 3)
-    assert len(m) == 0
-    with pytest.raises(KeyError):
-        m.lookup("intake", 3)
+def test_passive_abort_frees_blocked_producer():
+    h = PassivePartitionHolder("intake", capacity=1)
+    h.put("a")
+    outcome = []
+
+    def producer():
+        try:
+            for frame in ("b", "c", "d"):  # "b" blocks: the holder is full
+                h.put(frame)
+        except RuntimeError as e:
+            outcome.append(e)
+        h.close()
+
+    t = threading.Thread(target=producer)
+    t.start()
+    time.sleep(0.05)
+    h.abort()
+    t.join(timeout=1.0)
+    assert not t.is_alive()
+    assert len(outcome) == 1 and "closed" in str(outcome[0])
 
 
-def test_manager_rejects_duplicate_registration():
-    m = PartitionHolderManager()
-    m.register(PassivePartitionHolder("intake"))
-    with pytest.raises(ValueError, match="already registered"):
-        m.register(PassivePartitionHolder("intake"))
+def test_active_push_blocked_on_full_queue_sees_downstream_error():
+    release = threading.Event()
 
+    def bad(_):
+        release.wait()
+        raise ValueError("disk full")
 
-def test_manager_distinguishes_partitions():
-    m = PartitionHolderManager()
-    h0 = PassivePartitionHolder("intake", partition=0)
-    h1 = PassivePartitionHolder("intake", partition=1)
-    m.register(h0)
-    m.register(h1)
-    assert m.lookup("intake", 0) is h0
-    assert m.lookup("intake", 1) is h1
+    h = ActivePartitionHolder("storage", downstream=bad, capacity=1)
+    h.push("a")           # the consumer takes it and waits in downstream
+    time.sleep(0.05)
+    h.push("b")           # fills the queue
+    outcome = []
+
+    def pusher():
+        try:
+            h.push("c")   # blocks until the failed consumer drains
+        except RuntimeError as e:
+            outcome.append(e)
+
+    t = threading.Thread(target=pusher)
+    t.start()
+    time.sleep(0.05)
+    assert t.is_alive()
+    release.set()
+    t.join(timeout=1.0)
+    assert not t.is_alive()
+    assert isinstance(outcome[0].__cause__, ValueError)
+    with pytest.raises(RuntimeError, match="downstream failed"):
+        h.close_and_join()
+    assert h.forwarded == 0

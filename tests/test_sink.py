@@ -10,21 +10,6 @@ def pdf():
     return pd.DataFrame({"id": list(range(20)), "v": [str(i) for i in range(20)]})
 
 
-def test_append_spark_df_and_read(spark, tmp_path, pdf):
-    sink = StorageSink(spark, str(tmp_path / "out"), key="id")
-    n = sink.append(spark.createDataFrame(pdf))
-    assert n == 20
-    back = sink.read().toPandas().sort_values("id").reset_index(drop=True)
-    assert list(back["id"]) == list(range(20))
-    assert "_bucket" in back.columns
-
-
-def test_append_pandas_goes_through_spark(spark, tmp_path, pdf):
-    sink = StorageSink(spark, str(tmp_path / "out"), key="id")
-    assert sink.append(pdf) == 20
-    assert sink.read().count() == 20
-
-
 def test_append_pdf_local(spark, tmp_path, pdf):
     sink = StorageSink(spark, str(tmp_path / "out"), key="id")
     assert sink.append_pdf_local(pdf) == 20

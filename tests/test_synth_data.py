@@ -129,17 +129,3 @@ def test_spark_roundtrip_all_reference_sets(spark, ref_pdfs):
     for name, pdf in ref_pdfs.items():
         sdf = spark.createDataFrame(pdf)
         assert sdf.count() == len(pdf), name
-
-
-# -- provided TPC-H-lite generators still work (oracle self-check) ------------
-
-def test_tpch_lite_lineitem(spark):
-    li = sd.lineitem(spark, sf=0.001)
-    assert li.count() == 6000
-    assert "l_orderkey" in li.columns
-
-
-def test_zipf_and_uniform_keys(spark):
-    z = sd.zipf_keys(spark, n=1000, n_keys=100)
-    u = sd.uniform_keys(spark, n=1000, n_keys=100)
-    assert z.count() == 1000 and u.count() == 1000

@@ -59,12 +59,6 @@ def test_safety_rating_join_hits(spark, tweets_200, ref_sdfs):
     assert out.where("safety_rating = ''").count() == 0
 
 
-def test_stateful_classification():
-    """Q1–Q8 are all stateful (build state from reference data, § 4.3)."""
-    for u in ALL:
-        assert u.stateful
-
-
 def test_registry_lookup():
     assert udfs.BY_NAME["tweet_context"] is udfs.TWEET_CONTEXT
     # The paper's § 7.4.2 says "all seven UDFs" but lists eight use
