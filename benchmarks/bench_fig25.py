@@ -1,7 +1,8 @@
 """T25 (Fig 25) benchmarks: per-UDF enrichment throughput, all modes."""
 import pytest
 
-from repro.core.ingest import DynamicIngestion, StaticIngestion
+from repro.core.pipeline import DecoupledPipeline
+from repro.core.predeploy import ONCE
 from repro.enrich import java_udfs, udfs
 
 N_RECORDS = 840
@@ -16,7 +17,7 @@ def test_bench_t25_dynamic_sqlpp(benchmark, spark, bench_workbench, name):
 
     def run():
         sink = bench_workbench.fresh_sink()
-        return DynamicIngestion(spark, udf, stores, sink).run(
+        return DecoupledPipeline(spark, udf, stores, sink).run(
             N_RECORDS, batch_size=BATCH
         )
 
@@ -32,7 +33,7 @@ def test_bench_t25_dynamic_java(benchmark, spark, bench_workbench, name):
 
     def run():
         sink = bench_workbench.fresh_sink()
-        return DynamicIngestion(spark, udf, stores, sink).run(
+        return DecoupledPipeline(spark, udf, stores, sink).run(
             N_RECORDS, batch_size=BATCH
         )
 
@@ -48,9 +49,9 @@ def test_bench_t25_static_java(benchmark, spark, bench_workbench, name):
 
     def run():
         sink = bench_workbench.fresh_sink()
-        return StaticIngestion(spark, udf, stores, sink).run(
-            N_RECORDS, batch_size=BATCH
-        )
+        return DecoupledPipeline(
+            spark, udf, stores, sink, refresh=ONCE
+        ).run(N_RECORDS, batch_size=BATCH)
 
     rep = benchmark.pedantic(run, rounds=1, iterations=1)
     assert rep.throughput > 0

@@ -5,7 +5,7 @@ benchmark a single predeployed-job invocation at 1X directly.
 """
 import pytest
 
-from repro.core.predeploy import PredeployedJob
+from repro.core.predeploy import PredeployedJob, snapshot_provider
 from repro.enrich import udfs
 
 
@@ -16,10 +16,7 @@ def test_bench_t26_invocation(benchmark, spark, bench_workbench, batch_420,
     udf = udfs.BY_NAME[name]
     stores = {r: bench_workbench.stores[r] for r in udf.refs}
 
-    def provider():
-        return {r: stores[r].snapshot(spark) for r in udf.refs}
-
-    job = PredeployedJob(spark, udf, provider)
+    job = PredeployedJob(spark, udf, snapshot_provider(spark, udf, stores))
     job.deploy()
     job.invoke(batch_420.head(8))  # warm
     out = benchmark.pedantic(

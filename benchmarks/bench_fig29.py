@@ -2,7 +2,7 @@
 import pytest
 
 from repro import synth_data
-from repro.core.predeploy import PredeployedJob
+from repro.core.predeploy import PredeployedJob, snapshot_provider
 from repro.experiments import t29_complexity
 
 
@@ -15,10 +15,7 @@ def test_bench_t29_invocation(benchmark, spark, bench_workbench, name):
     stores = {r: bench_workbench.stores[r] for r in udf.refs}
     batch = synth_data.tweets_pdf(1680, seed=7)
 
-    def provider():
-        return {r: stores[r].snapshot(spark) for r in udf.refs}
-
-    job = PredeployedJob(spark, udf, provider)
+    job = PredeployedJob(spark, udf, snapshot_provider(spark, udf, stores))
     job.deploy()
     job.invoke(batch.head(8))  # warm
     out = benchmark.pedantic(lambda: job.invoke(batch), rounds=1, iterations=1)

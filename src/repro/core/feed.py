@@ -39,7 +39,6 @@ class TweetAdapter:
     def __init__(self, seed: int = 7):
         self.seed = seed
         self.records_emitted = 0
-        self.bytes_emitted = 0
 
     def frames(self, n_records: int, frame_size: int = BATCH_1X):
         emitted = 0
@@ -50,7 +49,6 @@ class TweetAdapter:
             )
             frame = serialize(pdf)
             self.records_emitted += take
-            self.bytes_emitted += len(frame)
             emitted += take
             yield frame
 
@@ -58,13 +56,8 @@ class TweetAdapter:
 class TweetParser:
     """Parses NDJSON frames into typed record batches."""
 
-    def __init__(self):
-        self.records_parsed = 0
-
     def parse(self, frame: bytes) -> pd.DataFrame:
-        pdf = parse(frame)
-        self.records_parsed += len(pdf)
-        return pdf
+        return parse(frame)
 
 
 def serialize(pdf: pd.DataFrame) -> bytes:
@@ -125,19 +118,3 @@ def parse(frame: bytes) -> pd.DataFrame:
         rows.append(rec)
     return pd.DataFrame(rows)
 
-
-class TweetFeed:
-    """Adapter + parser glued, yielding parsed batches.
-
-    ``batches(n_records, batch_size)`` is the convenience used by the
-    ingestion orchestrators; the decoupled pipeline drives the adapter
-    and parser separately through partition holders instead.
-    """
-
-    def __init__(self, seed: int = 7):
-        self.adapter = TweetAdapter(seed=seed)
-        self.parser = TweetParser()
-
-    def batches(self, n_records: int, batch_size: int = BATCH_1X):
-        for frame in self.adapter.frames(n_records, frame_size=batch_size):
-            yield self.parser.parse(frame)

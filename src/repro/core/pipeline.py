@@ -1,4 +1,9 @@
-"""The decoupled ingestion pipeline (§ 5.2, § 6, Fig 23).
+"""The feed driver: the decoupled ingestion pipeline (§ 5.2, § 6, Fig 23).
+
+Every feed runs here, static or dynamic; they differ only in the
+computing job's ``refresh`` policy (``repro.core.predeploy``):
+``PER_BATCH`` is the paper's new framework (Model 2), ``ONCE`` is stock
+AsterixDB's frozen enrichment state (Model 3).
 
 Three concurrently running layers joined by partition holders:
 
@@ -8,7 +13,7 @@ Three concurrently running layers joined by partition holders:
   moves parsing into the computing job, which is why dynamic ingestion
   escapes the old framework's single-node parse bottleneck (§ 7.1).
 * **computing jobs** (repeatedly invoked) — pull a frame, parse it,
-  evaluate the attached UDF against fresh reference snapshots, and push
+  evaluate the attached UDF against the job's reference state, and push
   the enriched batch into the *active* partition holder. The Active Feed
   Manager role (invoke the next job when one finishes, § 6.1) is the
   driver loop here.
@@ -22,16 +27,15 @@ pushed is stored, both threads are joined, and the error propagates.
 """
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
 from repro.core.feed import BATCH_1X, TweetAdapter, TweetParser
-from repro.core.ingest import IngestReport, udf_name
 from repro.core.partition_holder import (
     EOF, ActivePartitionHolder, PassivePartitionHolder,
 )
-from repro.core.predeploy import PredeployedJob, snapshot_provider
+from repro.core.predeploy import PER_BATCH, PredeployedJob, snapshot_provider
 from repro.storage.sink import StorageSink
 
 #: Longest the computing loop blocks on an empty intake holder at a time.
@@ -39,13 +43,34 @@ TAKE_TIMEOUT_S = 1.0
 
 
 @dataclass
-class PipelineStats:
-    """Layer-level accounting on top of the ingest report."""
+class IngestReport:
+    """Outcome of one feed run: the quantities behind Figs 24–29."""
 
-    report: IngestReport
-    frames_intaken: int
-    batches_computed: int
-    batches_stored: int
+    n_records: int
+    batch_size: int
+    elapsed_s: float
+    batch_times: list = field(default_factory=list)  # per computing job
+    setup_s: float = 0.0          # the computing job's deploy() time
+    batches_stored: int = 0
+
+    @property
+    def throughput(self) -> float:
+        """Records ingested+enriched per second (the paper's y-axis)."""
+        return self.n_records / self.elapsed_s if self.elapsed_s else 0.0
+
+    @property
+    def refresh_period_s(self) -> float:
+        """Mean execution time per computing job (Fig 26)."""
+        return (
+            sum(self.batch_times) / len(self.batch_times)
+            if self.batch_times
+            else 0.0
+        )
+
+    @property
+    def refresh_rate(self) -> float:
+        """Computing jobs per second (§ 7.1's refresh rates)."""
+        return len(self.batch_times) / self.elapsed_s if self.elapsed_s else 0.0
 
 
 class DecoupledPipeline:
@@ -53,23 +78,29 @@ class DecoupledPipeline:
 
     def __init__(self, spark: SparkSession, udf, stores: dict,
                  sink: StorageSink, *, holder_capacity: int = 8,
-                 seed: int = 7):
+                 seed: int = 7, refresh: str = PER_BATCH):
         self.spark = spark
-        self.udf = udf
+        self.udf = udf          # EnrichmentUdf (SQL++), JavaUdf, or None
         self.stores = stores
         self.sink = sink
         self.holder_capacity = holder_capacity
         self.seed = seed
+        self.refresh = refresh
 
-    def run(self, n_records: int, batch_size: int = BATCH_1X) -> PipelineStats:
+    def job(self) -> PredeployedJob:
+        """The feed's computing job, not yet deployed."""
+        return PredeployedJob(
+            self.spark, self.udf,
+            snapshot_provider(self.spark, self.udf, self.stores),
+            refresh=self.refresh,
+        )
+
+    def run(self, n_records: int, batch_size: int = BATCH_1X) -> IngestReport:
         adapter = TweetAdapter(seed=self.seed)
         parser = TweetParser()
 
         # predeploy the computing job before the feed starts (§ 6.1)
-        job = PredeployedJob(
-            self.spark, self.udf,
-            snapshot_provider(self.spark, self.udf, self.stores),
-        )
+        job = self.job()
         setup0 = time.perf_counter()
         job.deploy()
         setup_s = time.perf_counter() - setup0
@@ -119,13 +150,7 @@ class DecoupledPipeline:
         if intake_error:
             raise RuntimeError("intake job failed") from intake_error[0]
 
-        report = IngestReport(
-            "dynamic-decoupled", udf_name(self.udf), n_records, batch_size,
-            elapsed, times, setup_s=setup_s,
-        )
-        return PipelineStats(
-            report=report,
-            frames_intaken=adapter.records_emitted,
-            batches_computed=len(times),
+        return IngestReport(
+            n_records, batch_size, elapsed, times, setup_s=setup_s,
             batches_stored=storage_holder.forwarded,
         )

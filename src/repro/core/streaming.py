@@ -9,40 +9,17 @@ computing job — which re-snapshots the LSM reference stores at every
 invocation so each micro-batch observes current reference data — and
 the storage sink as the terminal write. ``maxFilesPerTrigger=1`` aligns
 one intake frame with one computing-job invocation, mirroring the
-paper's batching.
+paper's batching. The stream carries raw NDJSON lines; each micro-batch
+is parsed by the feed's own :class:`~repro.core.feed.TweetParser`, so
+both drivers validate records the same way.
 """
 import os
 
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    DoubleType, LongType, StringType, StructField, StructType, TimestampType,
-)
 
-from repro.core.feed import BATCH_1X, TweetAdapter
+from repro.core.feed import BATCH_1X, TweetAdapter, TweetParser
 from repro.core.predeploy import PredeployedJob, snapshot_provider
 from repro.storage.sink import StorageSink
-
-#: Wire schema of the adapter's NDJSON frames (user fields nested).
-TWEET_WIRE_SCHEMA = StructType(
-    [
-        StructField("id", LongType()),
-        StructField("text", StringType()),
-        StructField("country", StringType()),
-        StructField(
-            "user",
-            StructType(
-                [
-                    StructField("screen_name", StringType()),
-                    StructField("name", StringType()),
-                ]
-            ),
-        ),
-        StructField("latitude", DoubleType()),
-        StructField("longitude", DoubleType()),
-        StructField("created_at", TimestampType()),
-    ]
-)
 
 
 def write_feed_files(input_dir: str, n_records: int,
@@ -72,24 +49,19 @@ def run_streaming_ingestion(spark: SparkSession, udf, stores: dict,
     """
     job = PredeployedJob(spark, udf, snapshot_provider(spark, udf, stores))
     job.deploy()
+    parser = TweetParser()
     batches = {"n": 0}
 
     def on_batch(batch_df, batch_id: int) -> None:
-        pdf = batch_df.toPandas()
-        if pdf.empty:
+        lines = [row.value for row in batch_df.collect()]
+        if not lines:
             return
-        # un-nest the wire format into the parsed record shape
-        pdf["user_screen_name"] = [u["screen_name"] for u in pdf["user"]]
-        pdf["user_name"] = [u["name"] for u in pdf["user"]]
-        sink.append_pdf_local(job.invoke(pdf.drop(columns=["user"])))
+        frame = "\n".join(lines).encode()
+        sink.append_pdf_local(job.invoke(parser.parse(frame)))
         batches["n"] += 1
 
-    stream = (
-        spark.readStream.schema(TWEET_WIRE_SCHEMA)
-        .option("maxFilesPerTrigger", 1)
-        .json(input_dir)
-        .withColumn("created_at", F.col("created_at").cast("timestamp"))
-    )
+    # one row per NDJSON line; one staged frame per micro-batch
+    stream = spark.readStream.option("maxFilesPerTrigger", 1).text(input_dir)
     query = (
         stream.writeStream.foreachBatch(on_batch)
         .option("checkpointLocation", checkpoint_dir)

@@ -17,7 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.cluster.calibrate import make_ref_pdfs
-from repro.storage.lsm_store import LsmStore
+from repro.storage.lsm_store import build_stores
 from repro.storage.sink import StorageSink
 
 BENCH_REF_SCALE = 0.1
@@ -48,12 +48,11 @@ class Workbench:
             if ref_scale == BENCH_REF_SCALE
             else None,
         )
-        self.stores = {}
-        for name, pdf in self.ref_pdfs.items():
-            _, key = synth_data.REFERENCE_GENERATORS[name]
-            store = LsmStore(os.path.join(self.base_dir, "refs", name), key)
-            store.bulk_load(spark, pdf)
-            self.stores[name] = store
+        self.stores = build_stores(
+            spark, os.path.join(self.base_dir, "refs"), self.ref_pdfs,
+            {name: synth_data.REFERENCE_GENERATORS[name][1]
+             for name in self.ref_pdfs},
+        )
         self._sink_id = 0
 
     def fresh_sink(self) -> StorageSink:

@@ -11,7 +11,7 @@ snapshot pay the multi-component merge.
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.ingest import DynamicIngestion
+from repro.core.pipeline import DecoupledPipeline
 from repro.core.updates import UpdateFeeder
 from repro.enrich import udfs
 from repro.experiments.common import (
@@ -37,7 +37,7 @@ def run(spark: SparkSession, *, quick: bool = False,
         # land entirely on the first rate measured and invert the sweep.
         warm = Workbench(spark, udf.refs, ref_scale=ref_scale)
         try:
-            DynamicIngestion(spark, udf, warm.stores, warm.fresh_sink()).run(
+            DecoupledPipeline(spark, udf, warm.stores, warm.fresh_sink()).run(
                 2 * batch, batch_size=batch
             )
         finally:
@@ -53,7 +53,7 @@ def run(spark: SparkSession, *, quick: bool = False,
                     wb.stores[ref_name], wb.ref_pdfs[ref_name], rate=rate
                 ).start()
                 try:
-                    rep = DynamicIngestion(
+                    rep = DecoupledPipeline(
                         spark, udf, wb.stores, wb.fresh_sink()
                     ).run(n, batch_size=batch)
                 finally:

@@ -9,7 +9,7 @@ gain little. Measured here for real via dynamic SQL++ ingestion.
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.ingest import DynamicIngestion
+from repro.core.pipeline import DecoupledPipeline
 from repro.enrich import udfs
 from repro.experiments.common import (
     BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_COMPLEX, Workbench,
@@ -36,9 +36,9 @@ def run(spark: SparkSession, *, quick: bool = False,
             udf = udfs.BY_NAME[name]
             stores = {r: wb.stores[r] for r in udf.refs}
             for label, bs in batches.items():
-                rep = DynamicIngestion(spark, udf, stores, wb.fresh_sink()).run(
-                    n, batch_size=bs
-                )
+                rep = DecoupledPipeline(
+                    spark, udf, stores, wb.fresh_sink()
+                ).run(n, batch_size=bs)
                 rows.append(
                     {
                         "udf": name,

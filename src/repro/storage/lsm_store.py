@@ -76,11 +76,6 @@ class LsmStore:
     # -- read path ------------------------------------------------------------
 
     @property
-    def memory_component_active(self) -> bool:
-        with self._lock:
-            return bool(self._mem)
-
-    @property
     def buffered_updates(self) -> int:
         with self._lock:
             return sum(len(m) for m in self._mem)

@@ -29,9 +29,10 @@ def test_t24_refresh_rates_ordering(spark):
 def test_t24_measured_quick(spark):
     df = t24_basic.run_measured(spark, quick=True)
     assert (df["throughput_rec_s"] > 0).all()
-    assert set(df["framework"]) == {
-        "static (coupled)", "dynamic (decoupled)", "dynamic (coupled loop)"
-    }
+    assert list(zip(df["framework"], df["batch"])) == [
+        ("static", "16X"), ("dynamic", "1X"), ("dynamic", "4X"),
+        ("dynamic", "16X"),
+    ]
 
 
 def test_t25_quick_single_udf(spark):

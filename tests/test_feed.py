@@ -37,7 +37,6 @@ def test_adapter_framing_counts():
     frames = list(a.frames(1000, frame_size=300))
     assert len(frames) == 4  # 300+300+300+100
     assert a.records_emitted == 1000
-    assert a.bytes_emitted == sum(len(f) for f in frames)
 
 
 def test_adapter_last_frame_partial():
@@ -60,20 +59,6 @@ def test_adapter_deterministic_in_seed():
     assert f1 == f2
     f3 = list(feed.TweetAdapter(seed=10).frames(50, frame_size=25))
     assert f1 != f3
-
-
-def test_parser_counts():
-    p = feed.TweetParser()
-    a = feed.TweetAdapter(seed=1)
-    for f in a.frames(60, frame_size=25):
-        p.parse(f)
-    assert p.records_parsed == 60
-
-
-def test_tweetfeed_batches():
-    batches = list(feed.TweetFeed(seed=2).batches(90, batch_size=40))
-    assert [len(b) for b in batches] == [40, 40, 10]
-    assert isinstance(batches[0], pd.DataFrame)
 
 
 def test_paper_batch_sizes():

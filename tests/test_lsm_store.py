@@ -66,10 +66,8 @@ def test_memory_component_activation(spark, tmp_path, base_pdf):
     """§ 7.3's mechanism: any update activates the in-memory component."""
     store = LsmStore(str(tmp_path / "s"), key="k")
     store.bulk_load(spark, base_pdf)
-    assert not store.memory_component_active
     assert store.buffered_updates == 0
     store.upsert(pd.DataFrame({"k": ["a"], "val": ["x"]}))
-    assert store.memory_component_active
     assert store.buffered_updates == 1
 
 
@@ -78,7 +76,7 @@ def test_flush_moves_memory_to_disk(spark, tmp_path, base_pdf):
     store.bulk_load(spark, base_pdf)
     store.upsert(pd.DataFrame({"k": ["a"], "val": ["x"]}))
     store.flush(spark)
-    assert not store.memory_component_active
+    assert store.buffered_updates == 0
     got = _snap(store, spark)
     assert got.loc[got["k"] == "a", "val"].item() == "x"
 

@@ -28,10 +28,9 @@ def _sink(spark, tmp_path, name="out"):
 
 def test_pipeline_no_udf_moves_all_records(spark, tmp_path):
     sink = _sink(spark, tmp_path)
-    stats = DecoupledPipeline(spark, None, {}, sink).run(100, batch_size=30)
-    assert stats.frames_intaken == 100
-    assert stats.batches_computed == 4  # 30+30+30+10
-    assert stats.batches_stored == 4
+    report = DecoupledPipeline(spark, None, {}, sink).run(100, batch_size=30)
+    assert len(report.batch_times) == 4  # 30+30+30+10
+    assert report.batches_stored == 4
     ids = sorted(r.id for r in sink.read().select("id").collect())
     assert ids == list(range(100))
 
@@ -41,8 +40,7 @@ def test_pipeline_with_sqlpp_udf(spark, tmp_path, ratings_store):
     p = DecoupledPipeline(
         spark, udfs.SAFETY_RATING, {"safety_ratings": ratings_store}, sink
     )
-    stats = p.run(60, batch_size=20)
-    assert stats.report.framework == "dynamic-decoupled"
+    assert p.run(60, batch_size=20).batches_stored == 3
     back = sink.read().toPandas()
     assert len(back) == 60
     assert "safety_rating" in back.columns
@@ -55,8 +53,7 @@ def test_pipeline_with_java_udf(spark, tmp_path, ratings_store):
         spark, java_udfs.SafetyRatingJava(),
         {"safety_ratings": ratings_store}, sink,
     )
-    stats = p.run(40, batch_size=20)
-    assert stats.batches_computed == 2
+    assert len(p.run(40, batch_size=20).batch_times) == 2
     assert sink.rows_written == 40
 
 
@@ -64,22 +61,20 @@ def test_pipeline_tiny_holder_capacity_backpressure(spark, tmp_path):
     """capacity=1 forces strict hand-over-hand flow; must still drain."""
     sink = _sink(spark, tmp_path)
     p = DecoupledPipeline(spark, None, {}, sink, holder_capacity=1)
-    stats = p.run(80, batch_size=10)
-    assert stats.batches_stored == 8
+    assert p.run(80, batch_size=10).batches_stored == 8
     assert sink.rows_written == 80
 
 
 def test_pipeline_partial_last_batch(spark, tmp_path):
     sink = _sink(spark, tmp_path)
-    stats = DecoupledPipeline(spark, None, {}, sink).run(25, batch_size=10)
-    assert stats.batches_computed == 3
+    report = DecoupledPipeline(spark, None, {}, sink).run(25, batch_size=10)
+    assert len(report.batch_times) == 3
     assert sink.rows_written == 25
 
 
 def test_pipeline_report_timings(spark, tmp_path):
     sink = _sink(spark, tmp_path)
-    stats = DecoupledPipeline(spark, None, {}, sink).run(40, batch_size=10)
-    r = stats.report
+    r = DecoupledPipeline(spark, None, {}, sink).run(40, batch_size=10)
     assert r.n_records == 40
     assert len(r.batch_times) == 4
     assert r.throughput > 0
@@ -118,8 +113,7 @@ def test_pipeline_udf_failure_stops_every_layer(spark, tmp_path,
     assert time.perf_counter() - calls["failed_at"] < TAKE_TIMEOUT_S
     assert _new_layer_threads(before) == []
     assert sink.rows_written == 40  # batches pushed before the failure
-    stats = p.run(60, batch_size=20)  # the same pipeline runs again
-    assert stats.batches_stored == 3
+    assert p.run(60, batch_size=20).batches_stored == 3  # runs again
     assert sink.rows_written == 100
 
 
@@ -159,8 +153,8 @@ def test_benchmark_probes_stamp_every_batch(spark, tmp_path, ratings_store,
     p = DecoupledPipeline(spark, udf, {"safety_ratings": ratings_store},
                           _sink(spark, tmp_path))
     with probes.instrumented(rec, frames):
-        stats = p.run(60, batch_size=20)
-    assert stats.batches_stored == 3
+        report = p.run(60, batch_size=20)
+    assert report.batches_stored == 3
     assert sorted(rec.parse_start) == sorted(rec.push_end) == [0, 1, 2]
     invoked = {s[5] for s in rec.spans if s[1] == probes.PREDEPLOY_INVOKE}
     assert invoked == {0, 1, 2}

@@ -1,6 +1,8 @@
 """Structured Streaming front-end: foreachBatch computing jobs."""
-import pandas as pd
+import json
+
 import pytest
+from pyspark.errors import StreamingQueryException
 
 from repro.core import streaming
 from repro.enrich import udfs
@@ -62,8 +64,23 @@ def test_streaming_sees_reference_updates_between_batches(
     assert (back["safety_rating"] == "Z").all()
 
 
-def test_wire_schema_matches_parsed_columns():
-    cols = {f.name for f in streaming.TWEET_WIRE_SCHEMA.fields}
-    assert cols == {
-        "id", "text", "country", "user", "latitude", "longitude", "created_at"
-    }
+def test_streaming_rejects_record_missing_required_field(
+    spark, tmp_path, ratings_store
+):
+    """Frames go through the feed's parser, which type-checks every
+    record: a record without ``country`` fails the stream."""
+    input_dir = tmp_path / "in"
+    streaming.write_feed_files(str(input_dir), 40, batch_size=20)
+    frame = input_dir / "frame-000001.json"
+    lines = frame.read_text().splitlines()
+    rec = json.loads(lines[3])
+    del rec["country"]
+    lines[3] = json.dumps(rec)
+    frame.write_text("\n".join(lines) + "\n")
+    sink = StorageSink(spark, str(tmp_path / "out"), key="id")
+    with pytest.raises(StreamingQueryException, match="country"):
+        streaming.run_streaming_ingestion(
+            spark, udfs.SAFETY_RATING, {"safety_ratings": ratings_store},
+            sink, input_dir=str(input_dir),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )

@@ -50,7 +50,7 @@ def test_feeder_zero_rate_sends_nothing(spark, tmp_path, base):
     time.sleep(0.3)
     f.stop()
     assert f.records_sent == 0
-    assert not store.memory_component_active
+    assert store.buffered_updates == 0
 
 
 def test_feeder_sends_at_approximate_rate(spark, tmp_path, base):
@@ -62,7 +62,7 @@ def test_feeder_sends_at_approximate_rate(spark, tmp_path, base):
     # ~40 rec/s for ~1 s; wide tolerance for scheduling jitter and the
     # per-tick duplicate-key drop
     assert 10 <= f.records_sent <= 80
-    assert store.memory_component_active
+    assert store.buffered_updates > 0
 
 
 def test_feeder_updates_visible_in_snapshot(spark, tmp_path, base):
