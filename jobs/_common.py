@@ -26,7 +26,7 @@ def parse_args(description: str) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=description)
     ap.add_argument(
         "--quick", action="store_true",
-        help="reduced volumes (the pytest-benchmark configuration)",
+        help="reduced volumes (a quick check of the table's shape)",
     )
     return ap.parse_args()
 

@@ -57,21 +57,30 @@ class EnrichmentUdf:
 
 def _attach(batch: DataFrame, per_id: DataFrame, fills: dict) -> DataFrame:
     """``SELECT t.*, enrichment`` — join per-id enrichment back onto the
-    batch, defaulting unmatched tweets per ``fills``."""
-    out = batch.join(per_id, on="id", how="left")
+    batch, defaulting unmatched tweets per ``fills``. ``per_id`` has at
+    most one row per batch id, so it is the broadcast build side."""
+    out = batch.join(F.broadcast(per_id), on="id", how="left")
+    return out.fillna(fills)
+
+
+def _lookup(batch: DataFrame, per_key: DataFrame, key: str,
+            fills: dict) -> DataFrame:
+    """``SELECT t.*, enrichment`` for an enrichment that depends only on
+    the tweet's country: one left join of the batch against the per-key
+    table ``per_key`` (keyed by ``key``), defaulting unmatched tweets per
+    ``fills``. The per-key table is built from the reference snapshot on
+    every invocation and broadcast — the hash-join build phase over the
+    reference side that the paper's stateful UDF runs per computing job."""
+    out = batch.join(F.broadcast(per_key), batch["country"] == per_key[key],
+                     "left").drop(key)
     return out.fillna(fills)
 
 
 # -- Q1 Safety Rating (hash join) --------------------------------------------
 
 def _q1(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
-    s = refs["safety_ratings"]
-    per_id = (
-        batch.select("id", "country")
-        .join(s, batch["country"] == s["country_code"], "left")
-        .select("id", "safety_rating")
-    )
-    return _attach(batch, per_id, {"safety_rating": ""})
+    s = refs["safety_ratings"].select("country_code", "safety_rating")
+    return _lookup(batch, s, "country_code", {"safety_rating": ""})
 
 
 _Q1_SQL = """
@@ -87,12 +96,7 @@ def _q2(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
     totals = r.groupBy("country_name").agg(
         F.sum("population").alias("religious_population")
     )
-    per_id = (
-        batch.select("id", "country")
-        .join(totals, batch["country"] == totals["country_name"], "left")
-        .select("id", "religious_population")
-    )
-    return _attach(batch, per_id, {"religious_population": 0})
+    return _lookup(batch, totals, "country_name", {"religious_population": 0})
 
 
 _Q2_SQL = """
@@ -128,12 +132,7 @@ def _q3(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
             ).alias("largest_religions")
         )
     )
-    per_id = (
-        batch.select("id", "country")
-        .join(top3, batch["country"] == top3["country_name"], "left")
-        .select("id", "largest_religions")
-    )
-    return _attach(batch, per_id, {"largest_religions": ""})
+    return _lookup(batch, top3, "country_name", {"largest_religions": ""})
 
 
 _Q3_SQL = """

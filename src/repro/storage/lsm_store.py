@@ -10,14 +10,18 @@ start and degrades as the rate grows.
 
 This store reproduces that mechanism honestly rather than modelling it:
 
-* ``bulk_load`` writes an immutable on-disk component (parquet);
+* ``bulk_load`` writes an immutable on-disk component (parquet). The
+  store keeps the schema it wrote, so reading a component later infers
+  nothing and launches no Spark job;
 * ``upsert`` appends to the in-memory component (thread-safe — the
   update feeder runs concurrently with computing jobs);
 * ``snapshot`` returns the merged view **as of now**. With an empty
   memory component it is a bare parquet scan; once updates exist it
   must union the components and deduplicate by key keeping the newest
   version — real extra work per computing job, growing with the number
-  of buffered updates;
+  of buffered updates. The snapshot keeps the partitioning its plan
+  gives (a scan is 1–2 partitions); the UDFs' hash joins broadcast it or
+  a per-key table built from it (``repro.enrich.udfs``);
 * ``flush`` migrates the memory component to a new disk component
   (LSM flush), resetting read amplification.
 
@@ -43,7 +47,7 @@ class LsmStore:
         self.key = key
         self._lock = threading.Lock()
         self._mem: list = []          # list[pd.DataFrame], in arrival order
-        self._disk: list = []         # component dirs, oldest first
+        self._disk: list = []         # (component dir, schema), oldest first
         self._seq = itertools.count() # version stamp for newest-wins merge
         self._component_id = itertools.count()
         os.makedirs(path, exist_ok=True)
@@ -70,8 +74,12 @@ class LsmStore:
 
     def _write_component(self, spark: SparkSession, pdf: pd.DataFrame) -> None:
         comp = os.path.join(self.path, f"component-{next(self._component_id):05d}")
-        spark.createDataFrame(pdf).write.mode("overwrite").parquet(comp)
-        self._disk.append(comp)
+        sdf = spark.createDataFrame(pdf)
+        sdf.write.mode("overwrite").parquet(comp)
+        # A disk component never changes after it is written, so its
+        # schema is known here; reading with it skips the footer-inference
+        # job Spark would otherwise launch on every snapshot.
+        self._disk.append((comp, sdf.schema))
 
     # -- read path ------------------------------------------------------------
 
@@ -93,7 +101,7 @@ class LsmStore:
             disk = list(self._disk)
         if not disk and not mem:
             raise RuntimeError(f"store {self.path} is empty — bulk_load first")
-        parts = [spark.read.parquet(c) for c in disk]
+        parts = [spark.read.schema(schema).parquet(comp) for comp, schema in disk]
         if mem:
             parts.append(spark.createDataFrame(pd.concat(mem, ignore_index=True)))
         merged = parts[0]
@@ -106,12 +114,12 @@ class LsmStore:
                 .where(F.col("_rank") == 1)
                 .drop("_rank")
             )
-        # Fixed output width: a small parquet component reads as 1–2
-        # partitions while the post-merge path is shuffle-partitioned,
-        # which would make downstream join parallelism depend on whether
-        # updates happened to exist. Equalizing it keeps the measured
-        # § 7.3 effect to the genuine extra merge work above.
-        return merged.drop("_v").repartition(16)
+        # No fixed output width: the UDFs broadcast the snapshot (or a
+        # per-key table built from it) into their hash joins, so join
+        # width does not depend on whether the scan (1–2 partitions) or
+        # the merge (shuffle width) ran, and a repartition would only add
+        # a shuffle to every read.
+        return merged.drop("_v")
 
     def snapshot_pdf(self, spark: SparkSession) -> pd.DataFrame:
         """Pandas view of :meth:`snapshot` — the Java-UDF resource-file path."""

@@ -7,6 +7,7 @@ key into a fixed number of buckets (mirroring AsterixDB's hash
 partitioner) and appends parquet — one append per pushed batch, so
 storage cost is on the measured path exactly as in the paper.
 """
+import itertools
 import os
 import threading
 
@@ -26,6 +27,7 @@ class StorageSink:
         self._lock = threading.Lock()
         self._rows_written = 0
         self._batches_written = 0
+        self._file_id = itertools.count()  # file names, reserved per append
         os.makedirs(path, exist_ok=True)
 
     def append_pdf_local(self, pdf: pd.DataFrame) -> int:
@@ -38,7 +40,9 @@ class StorageSink:
         pdf["_bucket"] = pd.util.hash_pandas_object(
             pdf[self.key], index=False
         ).astype("int64") % self.n_partitions
-        out = os.path.join(self.path, f"local-{self._batches_written:06d}.parquet")
+        with self._lock:
+            file_id = next(self._file_id)
+        out = os.path.join(self.path, f"local-{file_id:06d}.parquet")
         # pandas defaults to nanosecond timestamps, which Spark's parquet
         # reader rejects (PARQUET_TYPE_ILLEGAL) — write microseconds.
         pdf.to_parquet(

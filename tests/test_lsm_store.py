@@ -1,6 +1,12 @@
 """LSM reference store: component life-cycle and merge semantics."""
+import itertools
+
 import pandas as pd
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, rule,
+                                 run_state_machine_as_test)
 
 from repro.storage.lsm_store import LsmStore, build_stores
 
@@ -118,3 +124,54 @@ def test_build_stores(spark, tmp_path):
     assert set(stores) == {"t1", "t2"}
     assert stores["t1"].snapshot(spark).count() == 2
     assert stores["t2"].key == "b"
+
+
+def test_store_matches_dict_model(spark, tmp_path):
+    """Under any sequence of bulk load, upsert (new and overwritten keys),
+    flush and snapshot, both read paths equal a plain dict with
+    newest-wins semantics. Flushed components are read with the schema
+    the store wrote them with, and more than one component takes the
+    merge path."""
+    dirs = itertools.count()
+    keys = st.sampled_from("abcdefgh")
+    rows = st.dictionaries(keys, st.tuples(st.text("xyz", max_size=3),
+                                           st.integers(-5, 5)),
+                           min_size=1, max_size=4)
+
+    def frame(d: dict) -> pd.DataFrame:
+        return pd.DataFrame({"k": list(d), "val": [v for v, _ in d.values()],
+                             "n": pd.array([n for _, n in d.values()],
+                                           dtype="int64")})
+
+    class StoreModel(RuleBasedStateMachine):
+        @initialize(d=rows)
+        def load(self, d):
+            self.store = LsmStore(str(tmp_path / f"s{next(dirs)}"), key="k")
+            self.model = dict(d)
+            self.store.bulk_load(spark, frame(d))
+
+        @rule(d=rows)
+        def bulk_load(self, d):
+            self.store.bulk_load(spark, frame(d))
+            self.model.update(d)
+
+        @rule(d=rows)
+        def upsert(self, d):
+            self.store.upsert(frame(d))
+            self.model.update(d)
+
+        @rule()
+        def flush(self):
+            self.store.flush(spark)
+            assert self.store.buffered_updates == 0
+
+        @rule(as_pandas=st.booleans())
+        def snapshot(self, as_pandas):
+            got = (self.store.snapshot_pdf(spark) if as_pandas
+                   else self.store.snapshot(spark).toPandas())
+            got = got.sort_values("k").reset_index(drop=True)
+            want = frame(dict(sorted(self.model.items())))
+            pd.testing.assert_frame_equal(got, want)
+
+    run_state_machine_as_test(StoreModel, settings=settings(
+        max_examples=15, stateful_step_count=10, deadline=None))

@@ -1,4 +1,8 @@
 """Storage sink: hash-partitioned appends and read-back."""
+import os
+import sys
+import threading
+
 import pandas as pd
 import pytest
 
@@ -40,3 +44,34 @@ def test_bucket_is_deterministic_per_key(spark, tmp_path, pdf):
     back = sink.read().toPandas()
     buckets_per_key = back.groupby("id")["_bucket"].nunique()
     assert (buckets_per_key == 1).all()
+
+
+def test_concurrent_appends_keep_every_file(spark, tmp_path, pdf):
+    """Two threads appending to one sink never pick the same file name,
+    so every row counted is a row stored."""
+    sink = StorageSink(spark, str(tmp_path / "out"), key="id")
+    errors = []
+
+    def append_many():
+        try:
+            for _ in range(50):
+                sink.append_pdf_local(pdf)
+        except Exception as e:  # reported by the assert below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=append_many) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    files = [f for f in os.listdir(sink.path) if f.endswith(".parquet")]
+    assert len(files) == len(set(files)) == 100
+    assert sink.batches_written == 100
+    assert sink.rows_written == sink.read().count() == 100 * len(pdf)
