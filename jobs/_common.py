@@ -1,10 +1,8 @@
-"""Shared wrapper for the per-table spark-submit entrypoints.
+"""The local SparkSession for ``jobs/tables.py`` and ``ingest_bench/run.py``.
 
-Each ``jobs/figNN_*.py`` builds (or reuses) a local SparkSession with the
-same per-session configs as the test fixture, runs its table harness,
-prints the table, and saves ``results/<name>.{md,csv}``.
+``get_spark`` builds (or reuses) a session with the same per-session
+configs as the test fixture.
 """
-import argparse
 import os
 
 # driver memory is read at JVM launch, so it must be in PYSPARK_SUBMIT_ARGS
@@ -20,15 +18,6 @@ os.environ.setdefault(
 )
 
 from pyspark.sql import SparkSession  # noqa: E402
-
-
-def parse_args(description: str) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(description=description)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="reduced volumes (a quick check of the table's shape)",
-    )
-    return ap.parse_args()
 
 
 def get_spark(app: str) -> SparkSession:

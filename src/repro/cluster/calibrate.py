@@ -1,7 +1,7 @@
 """Calibration: measure the cost constants the cluster simulator uses.
 
 The cluster-size sweeps (Figs 24, 28, 30, 31) ran on up to 24 physical
-nodes; this reproduction has one 16-core container. Per DESIGN.md § 4
+nodes; this reproduction runs on one machine. Per DESIGN.md § 4
 the sweeps run on :class:`~repro.cluster.simulator.SimulatedCluster`,
 whose inputs are **measured here** on the same code paths the fixed-size
 experiments execute for real:
@@ -23,9 +23,8 @@ Only two constants are modelled rather than measured, both documented in
 (cluster fan-out messaging we cannot observe on one machine) and the
 paper-hardware memory-pressure penalty for Tweet Context.
 """
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -46,13 +45,6 @@ class Calibration:
     #: Modelled: per-node job start/stop messaging (see module docstring).
     job_dispatch_per_node_s: float = 0.0005
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, s: str) -> "Calibration":
-        return cls(**json.loads(s))
-
 
 @dataclass
 class UdfCost:
@@ -65,13 +57,6 @@ class UdfCost:
     indexed_record_us: float = 0.0   # per-record work that does NOT speed up
     mem_hungry: bool = False     # paper-hardware memory-pressure flag (Q7)
     raw_points: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UdfCost":
-        return cls(**d)
 
 
 def measure_intake_cost(n: int = 4000, seed: int = 7) -> float:

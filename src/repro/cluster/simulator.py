@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from repro.cluster.calibrate import Calibration, UdfCost
 
 #: Slots the calibration machine's measurements correspond to (the
-#: paper's 6-node × 2-core baseline; this box has 16 cores).
+#: paper's 6-node × 2-core baseline, whatever this machine's core count).
 BASE_NODES = 6
 CORES_PER_NODE = 2
 
@@ -142,7 +142,3 @@ class SimulatedCluster:
         cycle_s = self.dispatch_s() + parse_batch_s
         compute_rate = batch_size / cycle_s
         return min(self.intake_rate(balanced), compute_rate)
-
-    def dynamic_refresh_rate(self, batch_size: int, balanced: bool) -> float:
-        """Computing jobs per second (§ 7.1's 68/27/10 at 24 nodes)."""
-        return self.dynamic_throughput(batch_size, balanced) / batch_size

@@ -27,9 +27,8 @@ EOF = object()
 class PassivePartitionHolder:
     """Pull-side holder: upstream ``put``s frames, another job ``take``s."""
 
-    def __init__(self, holder_id: str, partition: int = 0, capacity: int = 64):
+    def __init__(self, holder_id: str, capacity: int = 64):
         self.holder_id = holder_id
-        self.partition = partition
         self._q: queue.Queue = queue.Queue(maxsize=capacity)
         self._closed = threading.Event()
 
@@ -71,10 +70,8 @@ class ActivePartitionHolder:
     """Push-side holder: other jobs ``push`` frames, a consumer thread
     forwards them to ``downstream`` (the storage job's pipeline)."""
 
-    def __init__(self, holder_id: str, downstream, partition: int = 0,
-                 capacity: int = 64):
+    def __init__(self, holder_id: str, downstream, capacity: int = 64):
         self.holder_id = holder_id
-        self.partition = partition
         self.downstream = downstream
         self._q: queue.Queue = queue.Queue(maxsize=capacity)
         self._error: BaseException | None = None

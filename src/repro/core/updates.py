@@ -17,6 +17,11 @@ import pandas as pd
 
 from repro.storage.lsm_store import LsmStore
 
+#: Seconds between the feeder's upserts; each tick sends the rate's share.
+TICK_S = 0.2
+#: Seed of the first tick's update batch (tick ``i`` uses ``SEED + i``).
+SEED = 1000
+
 
 def update_batch(base: pd.DataFrame, key: str, k: int, seed: int) -> pd.DataFrame:
     """``k`` upsert records against existing keys of ``base``.
@@ -36,15 +41,12 @@ def update_batch(base: pd.DataFrame, key: str, k: int, seed: int) -> pd.DataFram
 class UpdateFeeder:
     """Feeds upserts into a store at ``rate`` records/second until stopped."""
 
-    def __init__(self, store: LsmStore, base: pd.DataFrame, *, rate: float,
-                 tick_s: float = 0.2, seed: int = 1000):
+    def __init__(self, store: LsmStore, base: pd.DataFrame, *, rate: float):
         if rate < 0:
             raise ValueError("rate must be >= 0")
         self.store = store
         self.base = base
         self.rate = rate
-        self.tick_s = tick_s
-        self.seed = seed
         self.records_sent = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -58,19 +60,18 @@ class UpdateFeeder:
 
     def _run(self) -> None:
         tick = 0
-        # send ceil(rate*tick_s) per tick, tracking the fractional budget
+        # send floor(rate*TICK_S) per tick, carrying the fractional budget
         budget = 0.0
         while not self._stop.is_set():
-            budget += self.rate * self.tick_s
+            budget += self.rate * TICK_S
             k = int(budget)
             if k > 0:
-                pdf = update_batch(self.base, self.store.key, k,
-                                   self.seed + tick)
+                pdf = update_batch(self.base, self.store.key, k, SEED + tick)
                 self.store.upsert(pdf)
                 self.records_sent += len(pdf)
                 budget -= k
             tick += 1
-            self._stop.wait(self.tick_s)
+            self._stop.wait(TICK_S)
 
     def stop(self) -> None:
         self._stop.set()

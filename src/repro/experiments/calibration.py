@@ -1,11 +1,14 @@
-"""Calibration orchestration for the simulated-cluster tables (T24/28/30/31).
+"""One in-memory calibration per run for the simulated tables (T24b/28/30/31).
 
-Calibrates the machine constants and every UDF's cost decomposition at
-the benchmark reference scale, caching results as JSON in ``results/``
-so the sweep jobs can re-run without re-measuring.
+A :class:`RunCalibration` measures the machine constants the first time a
+table asks for them, and each UDF's cost decomposition the first time a
+table names that UDF, at the benchmark reference scale. Every later
+table in the same process reuses what was measured, so one run's
+simulated tables all rest on one set of constants. Nothing is read back
+from disk: :meth:`RunCalibration.save` only records the constants.
 """
+import dataclasses
 import json
-import os
 
 from pyspark.sql import SparkSession
 
@@ -13,9 +16,7 @@ from repro.cluster.calibrate import (
     Calibration, UdfCost, calibrate_machine, calibrate_udf, make_ref_pdfs,
 )
 from repro.enrich import udfs
-from repro.experiments.common import (
-    BENCH_DISTRICT_REF_SCALE, BENCH_REF_SCALE, results_dir,
-)
+from repro.experiments.common import BENCH_DISTRICT_REF_SCALE, BENCH_REF_SCALE
 
 #: Per-UDF fit batch sizes. The naive monument scan is quadratic in
 #: |batch| × |monuments|, so its fit uses small batches (slope is linear
@@ -23,63 +24,60 @@ from repro.experiments.common import (
 FIT_BATCHES = {"naive_nearby_monuments": (105, 420)}
 DEFAULT_FIT = (420, 1680)
 
-CACHE_FILE = "calibration.json"
 
+class RunCalibration:
+    """Machine and per-UDF cost constants, each measured at most once.
 
-def _cache_path() -> str:
-    return os.path.join(results_dir(), CACHE_FILE)
-
-
-def load_cached() -> tuple | None:
-    try:
-        with open(_cache_path()) as f:
-            d = json.load(f)
-        cal = Calibration(**d["machine"])
-        costs = {k: UdfCost.from_dict(v) for k, v in d["udfs"].items()}
-        return cal, costs
-    except (OSError, KeyError, TypeError, json.JSONDecodeError):
-        return None
-
-
-def run_calibration(spark: SparkSession, *, udf_names=None, quick: bool = False,
-                    use_cache: bool = True):
-    """Measure (or load) machine + per-UDF cost constants.
-
-    ``quick`` shrinks reference scale and reps for the benchmark suite.
-    Returns ``(Calibration, {udf_name: UdfCost})``.
+    ``quick`` shrinks reference scale, fit batches and reps (a quick check
+    of a table's shape, not a measurement to report).
     """
-    names = list(udf_names or udfs.BY_NAME)
-    cached = load_cached() if (use_cache and not quick) else None
-    if cached is not None and set(names) <= set(cached[1]):
-        return cached[0], {n: cached[1][n] for n in names}
 
-    ref_scale = 0.02 if quick else BENCH_REF_SCALE
-    district_scale = 0.04 if quick else BENCH_DISTRICT_REF_SCALE
-    reps = 1 if quick else 3
-    # merge into any existing cache: keep its machine constants and
-    # already-calibrated UDFs, measure only what is missing
-    cal = cached[0] if cached is not None else calibrate_machine(spark)
-    costs = dict(cached[1]) if cached is not None else {}
-    todo = [n for n in names if n not in costs]
-    for name in todo:
-        udf = udfs.BY_NAME[name]
+    def __init__(self, spark: SparkSession, *, quick: bool = False):
+        self.spark = spark
+        self.quick = quick
+        self._machine: Calibration | None = None
+        self.udfs: dict[str, UdfCost] = {}
+
+    @property
+    def machine(self) -> Calibration:
+        if self._machine is None:
+            self._machine = calibrate_machine(self.spark)
+        return self._machine
+
+    def costs(self, names) -> dict:
+        """``{name: UdfCost}``, calibrating the UDFs not measured yet."""
+        for name in names:
+            if name not in self.udfs:
+                self.udfs[name] = self._calibrate(udfs.BY_NAME[name])
+        return {n: self.udfs[n] for n in names}
+
+    def _calibrate(self, udf) -> UdfCost:
+        ref_scale = 0.02 if self.quick else BENCH_REF_SCALE
+        district_scale = 0.04 if self.quick else BENCH_DISTRICT_REF_SCALE
         full = make_ref_pdfs(udf.refs, ref_scale, district_scale=district_scale)
         half = make_ref_pdfs(
             udf.refs, ref_scale / 2, district_scale=district_scale / 2
         )
-        b_small, b_large = FIT_BATCHES.get(name, DEFAULT_FIT)
-        if quick:
+        b_small, b_large = FIT_BATCHES.get(udf.name, DEFAULT_FIT)
+        if self.quick:
             b_small, b_large = max(60, b_small // 4), max(240, b_large // 4)
-        costs[name] = calibrate_udf(
-            spark, udf, full, half, b_small=b_small, b_large=b_large, reps=reps
+        return calibrate_udf(
+            self.spark, udf, full, half, b_small=b_small, b_large=b_large,
+            reps=1 if self.quick else 3,
         )
-    if not quick:
-        with open(_cache_path(), "w") as f:
+
+    def save(self, path: str) -> None:
+        """Record the constants measured so far as JSON (nothing reads the
+        file back); a run that simulated no table writes nothing."""
+        if self._machine is None:
+            return
+        with open(path, "w") as f:
             json.dump(
                 {
-                    "machine": json.loads(cal.to_json()),
-                    "udfs": {k: v.to_dict() for k, v in costs.items()},
+                    "machine": dataclasses.asdict(self._machine),
+                    "udfs": {
+                        k: dataclasses.asdict(v) for k, v in self.udfs.items()
+                    },
                 },
                 f, indent=2,
             )
-    return cal, {n: costs[n] for n in names}

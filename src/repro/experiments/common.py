@@ -5,18 +5,23 @@ Scale policy (DESIGN.md § 3/§ 5): reference datasets run at
 reduced from the paper's 10M/1M/100K to counts that keep a full table
 sweep within minutes on one machine — the compared quantities are
 ratios and shapes, which survive the uniform scale-down. Every harness
-accepts ``quick=True`` for a further-reduced variant used by the
-pytest-benchmark suite.
+accepts ``quick=True`` for a further-reduced variant, a quick check of
+its table's shape. Each harness's ``tables`` returns its finished
+:class:`Table` rows for ``jobs/tables.py`` to print and save.
 """
 import os
 import shutil
 import tempfile
+from typing import NamedTuple
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.cluster.calibrate import make_ref_pdfs
+from repro.core.pipeline import DecoupledPipeline
+from repro.core.predeploy import PER_BATCH
+from repro.enrich import udfs
 from repro.storage.lsm_store import build_stores
 from repro.storage.sink import StorageSink
 
@@ -66,6 +71,44 @@ class Workbench:
     def close(self) -> None:
         if self._own_dir:
             shutil.rmtree(self.base_dir, ignore_errors=True)
+
+
+def refs_of(udf_names) -> tuple:
+    """The reference datasets the named UDFs read, each once, in order."""
+    return tuple(
+        dict.fromkeys(r for n in udf_names for r in udfs.BY_NAME[n].refs)
+    )
+
+
+def feed_rows(spark: SparkSession, wb: Workbench, udf, n: int, batches: dict,
+              *, refresh: str = PER_BATCH, **labels) -> list:
+    """One feed of ``n`` tweets through ``udf`` per batch size: a row of
+    throughput and refresh period per feed, tagged ``labels``."""
+    stores = {r: wb.stores[r] for r in udf.refs}
+    rows = []
+    for label, bs in batches.items():
+        rep = DecoupledPipeline(
+            spark, udf, stores, wb.fresh_sink(), refresh=refresh
+        ).run(n, batch_size=bs)
+        rows.append(
+            {
+                "udf": udf.name,
+                **labels,
+                "batch": label,
+                "throughput_rec_s": rep.throughput,
+                "refresh_period_s": rep.refresh_period_s,
+            }
+        )
+    return rows
+
+
+class Table(NamedTuple):
+    """A finished result table, saved as ``results/<name>.{md,csv}``."""
+
+    name: str
+    title: str
+    frame: pd.DataFrame
+    floatfmt: str = "{:.1f}"
 
 
 def format_table(df: pd.DataFrame, title: str, floatfmt: str = "{:.1f}") -> str:

@@ -10,21 +10,23 @@ storage holder) of the Dynamic SQL++ rows.
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.pipeline import DecoupledPipeline
 from repro.core.predeploy import ONCE
 from repro.enrich import java_udfs, udfs
 from repro.experiments.common import (
-    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_ENRICH, Workbench,
+    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_ENRICH, Table, Workbench,
+    feed_rows, refs_of,
 )
 
 UDF_NAMES = [u.name for u in udfs.BASIC_UDFS]
 
 
-def _all_refs(names):
-    out = []
-    for n in names:
-        out.extend(udfs.BY_NAME[n].refs)
-    return tuple(dict.fromkeys(out))
+def tables(spark: SparkSession, *, quick: bool = False) -> list:
+    df = run(spark, quick=quick)
+    return [
+        Table("t25", "T25 — 6-node-scale enrichment throughput (rec/s)", df),
+        Table("t26", "T26 — Dynamic SQL++ refresh period (s/batch)",
+              refresh_periods(df), "{:.3f}"),
+    ]
 
 
 def run(spark: SparkSession, *, quick: bool = False,
@@ -33,41 +35,23 @@ def run(spark: SparkSession, *, quick: bool = False,
     n = 1_680 if quick else N_TWEETS_ENRICH
     batches = {"1X": BATCH_SIZES["1X"]} if quick else BATCH_SIZES
     ref_scale = 0.02 if quick else BENCH_REF_SCALE
-    wb = Workbench(spark, _all_refs(names), ref_scale=ref_scale)
+    wb = Workbench(spark, refs_of(names), ref_scale=ref_scale)
     rows = []
     try:
         for name in names:
             sql_udf = udfs.BY_NAME[name]
-            stores = {r: wb.stores[r] for r in sql_udf.refs}
+            java_udf = java_udfs.JAVA_BY_NAME[name]()
             # Static Enrichment w/ Java (stock AsterixDB)
-            rep = DecoupledPipeline(
-                spark, java_udfs.JAVA_BY_NAME[name](), stores, wb.fresh_sink(),
-                refresh=ONCE,
-            ).run(n, batch_size=BATCH_SIZES["16X"])
-            rows.append(_row(name, "static_java", "-", rep))
-            for label, bs in batches.items():
-                rep = DecoupledPipeline(
-                    spark, java_udfs.JAVA_BY_NAME[name](), stores,
-                    wb.fresh_sink(),
-                ).run(n, batch_size=bs)
-                rows.append(_row(name, "dynamic_java", label, rep))
-                rep = DecoupledPipeline(
-                    spark, sql_udf, stores, wb.fresh_sink()
-                ).run(n, batch_size=bs)
-                rows.append(_row(name, "dynamic_sqlpp", label, rep))
+            rows += feed_rows(spark, wb, java_udf, n,
+                              {"-": BATCH_SIZES["16X"]}, refresh=ONCE,
+                              mode="static_java")
+            rows += feed_rows(spark, wb, java_udf, n, batches,
+                              mode="dynamic_java")
+            rows += feed_rows(spark, wb, sql_udf, n, batches,
+                              mode="dynamic_sqlpp")
     finally:
         wb.close()
     return pd.DataFrame(rows)
-
-
-def _row(name, mode, batch, rep):
-    return {
-        "udf": name,
-        "mode": mode,
-        "batch": batch,
-        "throughput_rec_s": rep.throughput,
-        "refresh_period_s": rep.refresh_period_s,
-    }
 
 
 def refresh_periods(df: pd.DataFrame) -> pd.DataFrame:

@@ -15,11 +15,16 @@ from repro.core.pipeline import DecoupledPipeline
 from repro.core.updates import UpdateFeeder
 from repro.enrich import udfs
 from repro.experiments.common import (
-    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_UPDATES, Workbench,
+    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_UPDATES, Table, Workbench,
 )
 
 UDF_NAMES = [u.name for u in udfs.BASIC_UDFS]
 UPDATE_RATES = (0, 1, 40, 400)
+
+
+def tables(spark: SparkSession, *, quick: bool = False) -> list:
+    return [Table("t27", "T27 — throughput vs reference-update rate (rec/s)",
+                  run(spark, quick=quick))]
 
 
 def run(spark: SparkSession, *, quick: bool = False,

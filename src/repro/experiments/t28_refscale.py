@@ -8,25 +8,30 @@ scales with the reference multiplier and divides across nodes, dispatch
 overhead grows with nodes (DESIGN.md § 4).
 """
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.cluster.simulator import SimulatedCluster
 from repro.enrich import udfs
-from repro.experiments.calibration import run_calibration
-from repro.experiments.common import BATCH_SIZES
+from repro.experiments.calibration import RunCalibration
+from repro.experiments.common import BATCH_SIZES, Table
 
 UDF_NAMES = [u.name for u in udfs.BASIC_UDFS]
 STEPS = ((1.0, 6), (2.0, 12), (3.0, 18), (4.0, 24))
 
 
-def run(spark: SparkSession, *, quick: bool = False,
-        udf_names=None) -> pd.DataFrame:
+def tables(cal: RunCalibration) -> list:
+    return [Table(
+        "t28", "T28 — simulated throughput, ref×cluster scale-out (rec/s)",
+        run(cal),
+    )]
+
+
+def run(cal: RunCalibration, *, udf_names=None) -> pd.DataFrame:
     names = list(udf_names or UDF_NAMES)
-    cal, costs = run_calibration(spark, udf_names=names, quick=quick)
+    costs = cal.costs(names)
     batch = BATCH_SIZES["16X"]
     rows = []
     for mult, nodes in STEPS:
-        c = SimulatedCluster(nodes, cal)
+        c = SimulatedCluster(nodes, cal.machine)
         row = {"ref_scale": f"{int(mult)}X", "nodes": nodes}
         for name in names:
             row[name] = c.enrich_throughput(costs[name], batch, mult)

@@ -9,15 +9,20 @@ gain little. Measured here for real via dynamic SQL++ ingestion.
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.pipeline import DecoupledPipeline
 from repro.enrich import udfs
 from repro.experiments.common import (
-    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_COMPLEX, Workbench,
+    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_COMPLEX, Table, Workbench,
+    feed_rows, refs_of,
 )
 
 UDF_NAMES = [
     "nearby_monuments", "suspicious_names", "tweet_context", "worrisome_tweets"
 ]
+
+
+def tables(spark: SparkSession, *, quick: bool = False) -> list:
+    return [Table("t29", "T29 — complex-UDF enrichment throughput (rec/s)",
+                  run(spark, quick=quick))]
 
 
 def run(spark: SparkSession, *, quick: bool = False,
@@ -26,27 +31,12 @@ def run(spark: SparkSession, *, quick: bool = False,
     n = 1_680 if quick else N_TWEETS_COMPLEX
     batches = {"16X": BATCH_SIZES["16X"]} if quick else BATCH_SIZES
     ref_scale = 0.02 if quick else BENCH_REF_SCALE
-    refs = tuple(
-        dict.fromkeys(r for nm in names for r in udfs.BY_NAME[nm].refs)
-    )
-    wb = Workbench(spark, refs, ref_scale=ref_scale)
-    rows = []
+    wb = Workbench(spark, refs_of(names), ref_scale=ref_scale)
     try:
-        for name in names:
-            udf = udfs.BY_NAME[name]
-            stores = {r: wb.stores[r] for r in udf.refs}
-            for label, bs in batches.items():
-                rep = DecoupledPipeline(
-                    spark, udf, stores, wb.fresh_sink()
-                ).run(n, batch_size=bs)
-                rows.append(
-                    {
-                        "udf": name,
-                        "batch": label,
-                        "throughput_rec_s": rep.throughput,
-                        "refresh_period_s": rep.refresh_period_s,
-                    }
-                )
+        rows = [
+            row for name in names
+            for row in feed_rows(spark, wb, udfs.BY_NAME[name], n, batches)
+        ]
     finally:
         wb.close()
     return pd.DataFrame(rows)

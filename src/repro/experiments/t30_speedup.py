@@ -7,26 +7,31 @@ ideal 4× because added memory also removes join spill. Simulated over
 calibrated costs (DESIGN.md § 4).
 """
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.cluster.simulator import SimulatedCluster
 from repro.enrich import udfs
-from repro.experiments.calibration import run_calibration
-from repro.experiments.common import BATCH_SIZES
+from repro.experiments.calibration import RunCalibration
+from repro.experiments.common import BATCH_SIZES, Table
 
 UDF_NAMES = [u.name for u in udfs.ALL_UDFS]
 
 
-def run(spark: SparkSession, *, quick: bool = False,
-        udf_names=None) -> pd.DataFrame:
+def tables(cal: RunCalibration) -> list:
+    return [Table("t30", "T30 — speed-up 24 vs 6 nodes per batch size",
+                  run(cal), "{:.2f}")]
+
+
+def run(cal: RunCalibration, *, udf_names=None) -> pd.DataFrame:
     names = list(udf_names or UDF_NAMES)
-    cal, costs = run_calibration(spark, udf_names=names, quick=quick)
+    costs = cal.costs(names)
+    hi, lo = SimulatedCluster(24, cal.machine), SimulatedCluster(6, cal.machine)
     rows = []
     for name in names:
         row = {"udf": name}
         for label, bs in BATCH_SIZES.items():
-            hi = SimulatedCluster(24, cal).enrich_throughput(costs[name], bs)
-            lo = SimulatedCluster(6, cal).enrich_throughput(costs[name], bs)
-            row[f"speedup_{label}"] = hi / lo
+            row[f"speedup_{label}"] = (
+                hi.enrich_throughput(costs[name], bs)
+                / lo.enrich_throughput(costs[name], bs)
+            )
         rows.append(row)
     return pd.DataFrame(rows)

@@ -8,11 +8,10 @@ as the monument list is split across more nodes. Simulated over
 calibrated costs (DESIGN.md § 4).
 """
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.cluster.simulator import SimulatedCluster
-from repro.experiments.calibration import run_calibration
-from repro.experiments.common import BATCH_SIZES
+from repro.experiments.calibration import RunCalibration
+from repro.experiments.common import BATCH_SIZES, Table
 
 UDF_NAMES = [
     "nearby_monuments", "naive_nearby_monuments", "suspicious_names",
@@ -21,14 +20,18 @@ UDF_NAMES = [
 NODES = (6, 12, 18, 24)
 
 
-def run(spark: SparkSession, *, quick: bool = False,
-        udf_names=None) -> pd.DataFrame:
+def tables(cal: RunCalibration) -> list:
+    return [Table("t31", "T31 — simulated throughput vs cluster size (rec/s)",
+                  run(cal))]
+
+
+def run(cal: RunCalibration, *, udf_names=None) -> pd.DataFrame:
     names = list(udf_names or UDF_NAMES)
-    cal, costs = run_calibration(spark, udf_names=names, quick=quick)
+    costs = cal.costs(names)
     batch = BATCH_SIZES["16X"]
     rows = []
     for n in NODES:
-        c = SimulatedCluster(n, cal)
+        c = SimulatedCluster(n, cal.machine)
         row = {"nodes": n}
         for name in names:
             row[name] = c.enrich_throughput(costs[name], batch)

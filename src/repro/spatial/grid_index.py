@@ -18,22 +18,23 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.spatial.geometry import point_in_circle
+from repro.synth_data import WORLD
 
 
 class GridIndex:
-    """A uniform grid over ``[0, world)^2`` with square cells.
+    """A uniform grid over the coordinate world ``[0, WORLD)^2`` with
+    square cells.
 
     ``cell_size`` should be on the order of the query radius: larger
     cells mean fewer join keys but more refinement work, exactly the
     R-Tree node-size trade-off.
     """
 
-    def __init__(self, cell_size: float, world: float = 180.0):
+    def __init__(self, cell_size: float):
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.cell_size = float(cell_size)
-        self.world = float(world)
-        self.n_cells_per_axis = max(1, math.ceil(self.world / self.cell_size))
+        self.n_cells_per_axis = max(1, math.ceil(WORLD / self.cell_size))
 
     def cell_id(self, lat: float, lon: float) -> int:
         """Cell id of a point (row-major); clamps points on the world edge."""

@@ -14,16 +14,18 @@ import threading
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+#: Hash buckets per stored dataset (the storage partitions of the paper's
+#: hash partitioner).
+N_PARTITIONS = 8
+
 
 class StorageSink:
     """Append-only enriched-dataset writer, hash-partitioned by key."""
 
-    def __init__(self, spark: SparkSession, path: str, key: str,
-                 n_partitions: int = 8):
+    def __init__(self, spark: SparkSession, path: str, key: str):
         self.spark = spark
         self.path = path
         self.key = key
-        self.n_partitions = n_partitions
         self._lock = threading.Lock()
         self._rows_written = 0
         self._batches_written = 0
@@ -39,7 +41,7 @@ class StorageSink:
         pdf = pdf.copy()
         pdf["_bucket"] = pd.util.hash_pandas_object(
             pdf[self.key], index=False
-        ).astype("int64") % self.n_partitions
+        ).astype("int64") % N_PARTITIONS
         with self._lock:
             file_id = next(self._file_id)
         out = os.path.join(self.path, f"local-{file_id:06d}.parquet")

@@ -38,6 +38,7 @@ FACILITY_TYPES = [
 ]
 ETHNICITIES = ["eth_%02d" % i for i in range(12)]
 WORLD = 180.0              # coordinates are uniform in [0, WORLD) degrees
+ZIPF_ALPHA = 1.05          # skew of tweet countries over the country domain
 
 
 def _countries(k: int = N_COUNTRIES) -> list:
@@ -60,8 +61,7 @@ def _names(g: np.random.Generator, n: int) -> np.ndarray:
     return np.char.add(np.char.add(parts[:, 0], parts[:, 1]), parts[:, 2])
 
 
-def tweets_pdf(n: int, *, seed: int = 7, start_id: int = 0,
-               zipf_alpha: float = 1.05) -> pd.DataFrame:
+def tweets_pdf(n: int, *, seed: int = 7, start_id: int = 0) -> pd.DataFrame:
     """``n`` synthetic tweets as a pandas frame (the feed's parsed form).
 
     Columns mirror the paper's open TweetType plus the fields its UDFs
@@ -72,7 +72,7 @@ def tweets_pdf(n: int, *, seed: int = 7, start_id: int = 0,
     g = _rng(seed + start_id)
     countries = np.array(_countries())
     ranks = np.arange(1, len(countries) + 1)
-    w = 1.0 / ranks ** zipf_alpha
+    w = 1.0 / ranks ** ZIPF_ALPHA
     w /= w.sum()
     words = np.array(["alpha", "bravo", "delta", "echo", "light", "storm",
                       "bomb", "river", "cloud", "stone", "ember", "night"])

@@ -96,12 +96,6 @@ def test_balanced_dynamic_close_then_falls_behind_balanced_static():
     assert big_gap > small_gap >= 1.0
 
 
-def test_refresh_rate_drops_with_batch_size():
-    c = SimulatedCluster(24, CAL)
-    r = [c.dynamic_refresh_rate(b, balanced=False) for b in (420, 1680, 6720)]
-    assert r[0] > r[1] > r[2]
-
-
 # -- Figs 28/30/31 shapes -----------------------------------------------------
 
 def test_cheap_udf_speedup_is_poor():
@@ -169,16 +163,6 @@ def test_machine_costs_measurable():
 def test_dispatch_base_measurable(spark):
     d = measure_dispatch_base(spark, reps=2)
     assert 0 < d < 5.0
-
-
-def test_calibration_json_roundtrip():
-    s = CAL.to_json()
-    assert Calibration.from_json(s) == CAL
-
-
-def test_udfcost_dict_roundtrip():
-    d = HEAVY.to_dict()
-    assert UdfCost.from_dict(d) == HEAVY
 
 
 def test_make_ref_pdfs_scales():

@@ -1,15 +1,30 @@
-"""Experiment harnesses: small-configuration integration runs per table."""
+"""Experiment harnesses: small-configuration integration runs per table,
+and the one table runner."""
+import dataclasses
+import importlib.util
+import json
+import os
+import sys
+
 import pytest
 
 from repro.experiments import (
-    calibration, t24_basic, t25_udf, t27_updates, t28_refscale,
+    calibration, common, t24_basic, t25_udf, t27_updates, t28_refscale,
     t29_complexity, t30_speedup, t31_scaleout,
 )
 from repro.experiments.common import Workbench, format_table
 
+JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs")
 
-def test_t24_simulated_shapes(spark):
-    df = t24_basic.run_simulated(spark)
+
+@pytest.fixture(scope="module")
+def quick_cal(spark):
+    """One quick calibration shared by the simulated-table tests."""
+    return calibration.RunCalibration(spark, quick=True)
+
+
+def test_t24_simulated_shapes(quick_cal):
+    df = t24_basic.run_simulated(quick_cal.machine)
     assert list(df["nodes"]) == list(t24_basic.NODES)
     # static flat, balanced static linear, balanced dynamic grows
     assert df["static"].nunique() == 1
@@ -20,12 +35,6 @@ def test_t24_simulated_shapes(spark):
     assert (df["balanced_dynamic_16X"] <= df["balanced_static"]).all()
 
 
-def test_t24_refresh_rates_ordering(spark):
-    df = t24_basic.run_refresh_rates(spark)
-    r = dict(zip(df["batch"], df["refresh_rate_jobs_s"]))
-    assert r["1X"] > r["4X"] > r["16X"] > 0
-
-
 def test_t24_measured_quick(spark):
     df = t24_basic.run_measured(spark, quick=True)
     assert (df["throughput_rec_s"] > 0).all()
@@ -33,6 +42,10 @@ def test_t24_measured_quick(spark):
         ("static", "16X"), ("dynamic", "1X"), ("dynamic", "4X"),
         ("dynamic", "16X"),
     ]
+    # T24c is a view of the dynamic runs: bigger batches, fewer jobs/s
+    rates = t24_basic.refresh_rates(df)
+    r = dict(zip(rates["batch"], rates["refresh_rate_jobs_s"]))
+    assert r["1X"] > r["4X"] > r["16X"] > 0
 
 
 def test_t25_quick_single_udf(spark):
@@ -56,8 +69,8 @@ def test_t27_quick_single_udf(spark):
     assert upd["throughput_rec_s"] > 0
 
 
-def test_t28_quick(spark):
-    df = t28_refscale.run(spark, quick=True, udf_names=["safety_rating"])
+def test_t28_quick(quick_cal):
+    df = t28_refscale.run(quick_cal, udf_names=["safety_rating"])
     assert len(df) == len(t28_refscale.STEPS)
     assert (df["safety_rating"] > 0).all()
 
@@ -68,31 +81,64 @@ def test_t29_quick(spark):
     assert df["throughput_rec_s"].iloc[0] > 0
 
 
-def test_t30_quick(spark):
+def test_t30_quick(quick_cal):
     df = t30_speedup.run(
-        spark, quick=True, udf_names=["safety_rating", "fuzzy_suspects"]
+        quick_cal, udf_names=["safety_rating", "fuzzy_suspects"]
     )
     assert set(df["udf"]) == {"safety_rating", "fuzzy_suspects"}
     assert (df[["speedup_1X", "speedup_4X", "speedup_16X"]] > 0).all().all()
 
 
-def test_t31_quick(spark):
-    df = t31_scaleout.run(spark, quick=True, udf_names=["nearby_monuments"])
+def test_t31_quick(quick_cal):
+    df = t31_scaleout.run(quick_cal, udf_names=["nearby_monuments"])
     assert list(df["nodes"]) == list(t31_scaleout.NODES)
     assert (df["nearby_monuments"] > 0).all()
 
 
-def test_calibration_quick_no_cache(spark, tmp_path, monkeypatch):
-    import repro.experiments.calibration as cal_mod
+def test_runner_calibrates_once_per_process(spark, tmp_path, monkeypatch):
+    """Quick T24 + T28 + T30 through ``jobs/tables.py`` write every table,
+    measure the machine once and each UDF once, though T28's UDFs are
+    also T30's."""
+    spec = importlib.util.spec_from_file_location(
+        "tables_runner", os.path.join(JOBS_DIR, "tables.py")
+    )
+    runner = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the runner adds jobs/
+    spec.loader.exec_module(runner)
+    monkeypatch.setattr(common, "results_dir", lambda: str(tmp_path))
+    calls = {"machine": 0, "udfs": []}
+    measure_machine = calibration.calibrate_machine
+    measure_udf = calibration.calibrate_udf
 
-    monkeypatch.setattr(
-        cal_mod, "_cache_path", lambda: str(tmp_path / "cal.json")
+    def count_machine(spark):
+        calls["machine"] += 1
+        return measure_machine(spark)
+
+    def count_udf(spark, udf, *args, **kw):
+        calls["udfs"].append(udf.name)
+        return measure_udf(spark, udf, *args, **kw)
+
+    monkeypatch.setattr(calibration, "calibrate_machine", count_machine)
+    monkeypatch.setattr(calibration, "calibrate_udf", count_udf)
+
+    assert runner.parse_args(["T24", "T28", "T30", "--quick"]).quick
+    cal = runner.run_tables(spark, ["T24", "T28", "T30"], quick=True)
+
+    names = ("t24_measured", "t24_simulated", "t24_refresh_rates", "t28",
+             "t30")
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"{n}.{ext}" for n in names for ext in ("md", "csv")
     )
-    cal, costs = calibration.run_calibration(
-        spark, udf_names=["safety_rating"], quick=True
-    )
-    assert "safety_rating" in costs
-    assert not (tmp_path / "cal.json").exists()  # quick never caches
+    assert calls["machine"] == 1
+    assert sorted(calls["udfs"]) == sorted(t30_speedup.UDF_NAMES)
+    assert set(t28_refscale.UDF_NAMES) < set(t30_speedup.UDF_NAMES)
+    assert set(cal.udfs) == set(t30_speedup.UDF_NAMES)
+    # a full run records the constants; nothing reads them back
+    cal.save(str(tmp_path / "calibration.json"))
+    with open(tmp_path / "calibration.json") as f:
+        saved = json.load(f)
+    assert saved["machine"] == dataclasses.asdict(cal.machine)
+    assert set(saved["udfs"]) == set(cal.udfs)
 
 
 def test_workbench_builds_and_closes(spark):

@@ -1,21 +1,9 @@
 """Java-UDF analogues: parity with the DuckDB oracle and life-cycle checks."""
-import duckdb
-import pandas as pd
 import pytest
 
 from repro import synth_data
 from repro.enrich import java_udfs, udfs
-
-
-def _oracle(sql: str, tweets: pd.DataFrame, tables: dict) -> pd.DataFrame:
-    con = duckdb.connect()
-    try:
-        con.register("tweets", tweets)
-        for name, pdf in tables.items():
-            con.register(name, pdf)
-        return con.execute(sql).fetchdf()
-    finally:
-        con.close()
+from repro.oracle import assert_equivalent
 
 
 @pytest.mark.parametrize(
@@ -26,12 +14,11 @@ def test_java_udf_matches_oracle(cls, tweets_200, ref_pdfs):
     tweets_pdf, _ = tweets_200
     udf = cls()
     udf.initialize({name: ref_pdfs[name] for name in udf.refs})
-    got = udf.evaluate(tweets_pdf)[["id", *udf.enrich_cols]]
-    sql = udfs.BY_NAME[cls.name].oracle_sql
-    expected = _oracle(sql, tweets_pdf, {n: ref_pdfs[n] for n in udf.refs})
-    got = got.sort_values("id").reset_index(drop=True)
-    expected = expected[got.columns].sort_values("id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, expected, check_dtype=False)
+    assert_equivalent(
+        udf.evaluate(tweets_pdf)[["id", *udf.enrich_cols]],
+        udfs.BY_NAME[cls.name].oracle_sql,
+        tweets=tweets_pdf, **{n: ref_pdfs[n] for n in udf.refs},
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import threading
 import pandas as pd
 import pytest
 
-from repro.storage.sink import StorageSink
+from repro.storage.sink import N_PARTITIONS, StorageSink
 
 
 @pytest.fixture()
@@ -19,7 +19,7 @@ def test_append_pdf_local(spark, tmp_path, pdf):
     assert sink.append_pdf_local(pdf) == 20
     back = sink.read().toPandas()
     assert len(back) == 20
-    assert back["_bucket"].between(0, sink.n_partitions - 1).all()
+    assert back["_bucket"].between(0, N_PARTITIONS - 1).all()
 
 
 def test_counters_accumulate(spark, tmp_path, pdf):

@@ -25,12 +25,12 @@ def test_grid_requires_positive_cell():
 
 
 def test_grid_cell_count():
-    g = GridIndex(cell_size=1.5, world=180.0)
+    g = GridIndex(cell_size=1.5)
     assert g.n_cells_per_axis == 120
 
 
 def test_cell_id_corners():
-    g = GridIndex(cell_size=1.5, world=180.0)
+    g = GridIndex(cell_size=1.5)
     assert g.cell_id(0.0, 0.0) == 0
     assert g.cell_id(0.0, 1.5) == 1
     assert g.cell_id(1.5, 0.0) == 120

@@ -56,7 +56,7 @@ def test_feeder_zero_rate_sends_nothing(spark, tmp_path, base):
 def test_feeder_sends_at_approximate_rate(spark, tmp_path, base):
     store = LsmStore(str(tmp_path / "s"), key="k")
     store.bulk_load(spark, base)
-    f = UpdateFeeder(store, base, rate=40, tick_s=0.05).start()
+    f = UpdateFeeder(store, base, rate=40).start()
     time.sleep(1.0)
     f.stop()
     # ~40 rec/s for ~1 s; wide tolerance for scheduling jitter and the
@@ -68,7 +68,7 @@ def test_feeder_sends_at_approximate_rate(spark, tmp_path, base):
 def test_feeder_updates_visible_in_snapshot(spark, tmp_path, base):
     store = LsmStore(str(tmp_path / "s"), key="k")
     store.bulk_load(spark, base)
-    f = UpdateFeeder(store, base, rate=100, tick_s=0.05).start()
+    f = UpdateFeeder(store, base, rate=100).start()
     time.sleep(0.5)
     f.stop()
     got = store.snapshot(spark).toPandas()
