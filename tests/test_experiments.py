@@ -35,17 +35,26 @@ def test_t24_simulated_shapes(quick_cal):
     assert (df["balanced_dynamic_16X"] <= df["balanced_static"]).all()
 
 
-def test_t24_measured_quick(spark):
-    df = t24_basic.run_measured(spark, quick=True)
+@pytest.fixture(scope="module")
+def t24_measured(spark):
+    """One quick measured T24a run shared by the T24a and T24c tests."""
+    return t24_basic.run_measured(spark, quick=True)
+
+
+def test_t24_refresh_rates_ordering(t24_measured):
+    # T24c is a view of the dynamic runs: bigger batches, fewer jobs/s
+    df = t24_basic.refresh_rates(t24_measured)
+    r = dict(zip(df["batch"], df["refresh_rate_jobs_s"]))
+    assert r["1X"] > r["4X"] > r["16X"] > 0
+
+
+def test_t24_measured_quick(t24_measured):
+    df = t24_measured
     assert (df["throughput_rec_s"] > 0).all()
     assert list(zip(df["framework"], df["batch"])) == [
         ("static", "16X"), ("dynamic", "1X"), ("dynamic", "4X"),
         ("dynamic", "16X"),
     ]
-    # T24c is a view of the dynamic runs: bigger batches, fewer jobs/s
-    rates = t24_basic.refresh_rates(df)
-    r = dict(zip(rates["batch"], rates["refresh_rate_jobs_s"]))
-    assert r["1X"] > r["4X"] > r["16X"] > 0
 
 
 def test_t25_quick_single_udf(spark):
