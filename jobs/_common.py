@@ -1,7 +1,7 @@
 """The local SparkSession for ``jobs/tables.py`` and ``ingest_bench/run.py``.
 
-``get_spark`` builds (or reuses) a session with the same per-session
-configs as the test fixture.
+``get_spark`` is ``repro.spark_session.get_spark``, which the test
+fixture uses too.
 """
 import os
 
@@ -17,17 +17,4 @@ os.environ.setdefault(
     "pyspark-shell",
 )
 
-from pyspark.sql import SparkSession  # noqa: E402
-
-
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
+from repro.spark_session import get_spark  # noqa: E402,F401

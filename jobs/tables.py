@@ -15,11 +15,11 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _common import get_spark  # noqa: E402
 
+from repro.cluster.calibrate import RunCalibration  # noqa: E402
 from repro.experiments import (  # noqa: E402
     common, t24_basic, t25_udf, t27_updates, t28_refscale, t29_complexity,
     t30_speedup, t31_scaleout,
 )
-from repro.experiments.calibration import RunCalibration  # noqa: E402
 
 #: Table id -> its harness, called with (spark, calibration, quick).
 TABLES = {

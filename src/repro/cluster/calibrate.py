@@ -18,11 +18,18 @@ experiments execute for real:
   - ``serial_s``    — the remaining fixed cost (driver-side, plan
     invocation, result collection) that no amount of nodes removes.
 
-Only two constants are modelled rather than measured, both documented in
-``repro.cluster.simulator``: the per-node component of job dispatch
-(cluster fan-out messaging we cannot observe on one machine) and the
-paper-hardware memory-pressure penalty for Tweet Context.
+A :class:`RunCalibration` holds one process's measurements: the machine
+constants the first time a table asks for them, and each UDF's costs
+the first time a table names that UDF. Every later table in the same
+process reuses them, so one run's simulated tables rest on one set of
+constants. Nothing is read back from disk.
+
+The constants the simulator models rather than measures (per-node
+dispatch, the dispatch scale, the memory-pressure penalty and which
+UDFs it applies to) live in ``repro.cluster.simulator``.
 """
+import dataclasses
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -32,18 +39,34 @@ from pyspark.sql import SparkSession
 from repro import synth_data
 from repro.core import feed as feed_mod
 from repro.core.predeploy import PredeployedJob
-from repro.enrich.udfs import EnrichmentUdf
+from repro.enrich import udfs
+from repro.synth_data import (
+    BENCH_DISTRICT_REF_SCALE, BENCH_REF_SCALE, QUICK_REF_SCALE, make_ref_pdfs,
+)
+
+#: Rounds of a UDF fit. Each round times the three fit points once, one
+#: after the other, and a point's time is its minimum over the rounds, so
+#: the plan's warm-up, which the first rounds pay, drops out of every
+#: point. On a 4-core container 5 rounds still left negative slopes, and
+#: 7 left Largest Religions' slope (about 10 µs/record) inside the noise
+#: in one of two runs.
+ROUNDS = 10
+#: Fit batch sizes per UDF: the tables' own 1X and 16X batches, except
+#: for the naive monument scan, which is quadratic in |batch| ×
+#: |monuments| (its slope is linear in batch size wherever it is sampled).
+FIT_BATCHES = {"naive_nearby_monuments": (105, 420)}
+#: The ``quick`` fit: fewer rounds over smaller batches, for every UDF.
+QUICK_ROUNDS = 2
+QUICK_FIT = (105, 420)
 
 
 @dataclass
 class Calibration:
-    """Machine-level constants (seconds unless noted)."""
+    """Machine-level constants (seconds)."""
 
     intake_s_per_record: float
     parse_s_per_record: float
     job_dispatch_base_s: float
-    #: Modelled: per-node job start/stop messaging (see module docstring).
-    job_dispatch_per_node_s: float = 0.0005
 
 
 @dataclass
@@ -55,7 +78,6 @@ class UdfCost:
     state_s: float               # fixed, ref-size-proportional, parallelizable
     record_us: float             # per-record parallelizable work (microseconds)
     indexed_record_us: float = 0.0   # per-record work that does NOT speed up
-    mem_hungry: bool = False     # paper-hardware memory-pressure flag (Q7)
     raw_points: dict = field(default_factory=dict)
 
 
@@ -112,38 +134,40 @@ def calibrate_machine(spark: SparkSession) -> Calibration:
     )
 
 
-def _time_invocation(spark: SparkSession, udf: EnrichmentUdf, refs_sdf: dict,
-                     batch: pd.DataFrame, reps: int) -> float:
-    """Median per-invocation wall time of the predeployed computing job."""
-    job = PredeployedJob(spark, udf, lambda: refs_sdf)
-    job.deploy()
-    job.invoke(batch.head(8))  # warm code paths
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        job.invoke(batch)
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return times[len(times) // 2]
+def _timed(job: PredeployedJob, batch: pd.DataFrame) -> float:
+    t0 = time.perf_counter()
+    job.invoke(batch)
+    return time.perf_counter() - t0
 
 
-def calibrate_udf(spark: SparkSession, udf: EnrichmentUdf, refs_full: dict,
-                  refs_half: dict, *, b_small: int = 420, b_large: int = 6720,
-                  reps: int = 3) -> UdfCost:
+def calibrate_udf(spark: SparkSession, udf: udfs.EnrichmentUdf,
+                  refs_full: dict, refs_half: dict, *, b_small: int,
+                  b_large: int, rounds: int) -> UdfCost:
     """Two-point fits over batch size and reference scale.
 
     ``refs_full``/``refs_half`` map reference names to pandas frames at
     the calibration scale and at half that scale (same generator, so the
     halved frames are a prefix-like sample of the same distribution).
+    One job is deployed per scale; each of ``rounds`` rounds times the
+    small and the large batch over the full references and the small
+    batch over the halved ones, and each point keeps its minimum.
     """
-    full_sdf = {n: spark.createDataFrame(p) for n, p in refs_full.items()}
-    half_sdf = {n: spark.createDataFrame(p) for n, p in refs_half.items()}
+    def deployed(refs):
+        sdfs = {n: spark.createDataFrame(p) for n, p in refs.items()}
+        job = PredeployedJob(spark, udf, lambda: sdfs)
+        job.deploy()
+        return job
+
+    full, half = deployed(refs_full), deployed(refs_half)
     small = synth_data.tweets_pdf(b_small, seed=7)
     large = synth_data.tweets_pdf(b_large, seed=7)
-
-    t_small_full = _time_invocation(spark, udf, full_sdf, small, reps)
-    t_large_full = _time_invocation(spark, udf, full_sdf, large, reps)
-    t_small_half = _time_invocation(spark, udf, half_sdf, small, reps)
+    points = {"t_small_full": (full, small), "t_large_full": (full, large),
+              "t_small_half": (half, small)}
+    best = dict.fromkeys(points, float("inf"))
+    for _ in range(rounds):
+        for name, (job, batch) in points.items():
+            best[name] = min(best[name], _timed(job, batch))
+    t_small_full, t_large_full, t_small_half = best.values()
 
     record_s = max(
         (t_large_full - t_small_full) / (b_large - b_small), 1e-9
@@ -170,33 +194,63 @@ def calibrate_udf(spark: SparkSession, udf: EnrichmentUdf, refs_full: dict,
         state_s=state_s,
         record_us=record_us,
         indexed_record_us=indexed_record_us,
-        mem_hungry=(udf.name == "tweet_context"),
-        raw_points={
-            "t_small_full": t_small_full,
-            "t_large_full": t_large_full,
-            "t_small_half": t_small_half,
-            "b_small": b_small,
-            "b_large": b_large,
-        },
+        raw_points={**best, "b_small": b_small, "b_large": b_large},
     )
 
 
-def make_ref_pdfs(names, ref_scale: float, district_scale: float | None = None
-                  ) -> dict:
-    """Reference frames for the named datasets at ``ref_scale``.
+class RunCalibration:
+    """Machine and per-UDF cost constants, each measured at most once.
 
-    District-backed datasets keep the paper's absolute cardinality
-    (500 districts at scale 1.0) relative to ``district_scale``.
+    ``quick`` shrinks reference scale, fit batches and rounds (a quick
+    check of a table's shape, not a measurement to report).
     """
-    if district_scale is None:
-        district_scale = ref_scale * 10  # districts are 500 at paper scale
-    out = {}
-    for name in names:
-        gen, _key = synth_data.REFERENCE_GENERATORS[name]
-        scale = (
-            district_scale
-            if name in ("district_areas", "average_incomes")
-            else ref_scale
+
+    def __init__(self, spark: SparkSession, *, quick: bool = False):
+        self.spark = spark
+        self.quick = quick
+        self._machine: Calibration | None = None
+        self.udfs: dict[str, UdfCost] = {}
+
+    @property
+    def machine(self) -> Calibration:
+        if self._machine is None:
+            self._machine = calibrate_machine(self.spark)
+        return self._machine
+
+    def costs(self, names) -> dict:
+        """``{name: UdfCost}``, calibrating the UDFs not measured yet."""
+        for name in names:
+            if name not in self.udfs:
+                self.udfs[name] = self._calibrate(udfs.BY_NAME[name])
+        return {n: self.udfs[n] for n in names}
+
+    def _calibrate(self, udf) -> UdfCost:
+        ref_scale = QUICK_REF_SCALE if self.quick else BENCH_REF_SCALE
+        district_scale = 0.04 if self.quick else BENCH_DISTRICT_REF_SCALE
+        full = make_ref_pdfs(udf.refs, ref_scale, district_scale=district_scale)
+        half = make_ref_pdfs(
+            udf.refs, ref_scale / 2, district_scale=district_scale / 2
         )
-        out[name] = gen(ref_scale=scale)
-    return out
+        b_small, b_large = QUICK_FIT if self.quick else FIT_BATCHES.get(
+            udf.name, (feed_mod.BATCH_1X, feed_mod.BATCH_16X)
+        )
+        return calibrate_udf(
+            self.spark, udf, full, half, b_small=b_small, b_large=b_large,
+            rounds=QUICK_ROUNDS if self.quick else ROUNDS,
+        )
+
+    def save(self, path: str) -> None:
+        """Record the constants measured so far as JSON (nothing reads the
+        file back); a run that simulated no table writes nothing."""
+        if self._machine is None:
+            return
+        with open(path, "w") as f:
+            json.dump(
+                {
+                    "machine": dataclasses.asdict(self._machine),
+                    "udfs": {
+                        k: dataclasses.asdict(v) for k, v in self.udfs.items()
+                    },
+                },
+                f, indent=2,
+            )

@@ -11,10 +11,11 @@ Model, per computing-job invocation of batch size ``B`` on ``N`` nodes:
     t(N, B) = dispatch(N) + serial + state·r·(B0/N) + rec·B·(B0/N)
               + idx·B + spill(N)·state-term
 
-* ``dispatch(N) = base + per_node·N`` — job start/stop messaging fans
-  out to every node; this is the execution overhead the paper observes
-  growing with cluster size (§ 7.1, § 7.4.2). ``base`` is measured
-  (empty Spark job); ``per_node`` is a documented modelled constant.
+* ``dispatch(N) = base·DISPATCH_SCALE + PER_NODE_DISPATCH_S·N`` — job
+  start/stop messaging fans out to every node; this is the execution
+  overhead the paper observes growing with cluster size (§ 7.1,
+  § 7.4.2). ``base`` is measured (empty Spark job); the other two are
+  modelled constants.
 * ``serial`` — non-parallelizable per-invocation work (measured).
 * ``state·r·(B0/N)`` — intermediate-state rebuild; proportional to
   reference scale multiplier ``r`` (Fig 28) and parallelized across
@@ -23,13 +24,13 @@ Model, per computing-job invocation of batch size ``B`` on ``N`` nodes:
 * ``idx·B`` — index-probe work that does *not* parallelize: the INLJ
   broadcasts incoming tweets to all index partitions (§ 7.4.2), so
   adding nodes does not cut per-record probe cost.
-* ``spill`` — paper-hardware memory model for Tweet Context: its
-  ref-ref joins exceed a 6×8 GB cluster's join memory and spill; more
-  nodes mean more aggregate memory and the spill factor decays to 1.
-  This (with ``PER_NODE_DISPATCH_S``) is one of the two modelled — not
-  measured — constants, since a 48 GB single box cannot spill like
-  2009-era 8 GB Opterons. It produces the paper's >4× superlinear
-  speed-up for Tweet Context.
+* ``spill`` — paper-hardware memory model for ``MEM_HUNGRY_UDFS``
+  (Tweet Context): its ref-ref joins exceed a 6×8 GB cluster's join
+  memory and spill; more nodes mean more aggregate memory and the spill
+  factor decays to 1. Like the dispatch constants it is modelled, not
+  measured, since a 48 GB single box cannot spill like 2009-era 8 GB
+  Opterons. It produces the paper's >4× superlinear speed-up for Tweet
+  Context.
 
 Basic (no-UDF) ingestion, Fig 24: the old framework couples intake and
 parsing on intake node(s) inside one continuous job (throughput =
@@ -47,7 +48,11 @@ from repro.cluster.calibrate import Calibration, UdfCost
 BASE_NODES = 6
 CORES_PER_NODE = 2
 
-#: Modelled constants (see module docstring).
+#: Modelled constants (see module docstring); a calibration records only
+#: measured values.
+#: Per-node job start/stop messaging: cluster fan-out that one machine
+#: cannot observe.
+PER_NODE_DISPATCH_S = 0.0005
 #: Measured local-Spark job launch (~80–180 ms under gVisor) overstates
 #: an AsterixDB *predeployed-job invocation* — a single message round
 #: trip, not a full DAG-scheduler pass — by over an order of magnitude.
@@ -57,6 +62,8 @@ CORES_PER_NODE = 2
 DISPATCH_SCALE = 0.05
 SPILL_PENALTY = 3.0          # state-cost multiplier when fully memory-starved
 SPILL_FREE_NODES = 18.0      # cluster size at which Q7's join fits in memory
+#: UDFs whose reference-to-reference joins spill on the paper's hardware.
+MEM_HUNGRY_UDFS = frozenset({"tweet_context"})
 
 #: UDFs whose *per-record* cost is itself proportional to reference size
 #: (cross-join style plans: every probe touches every reference row), so
@@ -83,7 +90,7 @@ class SimulatedCluster:
         """Per-invocation job start/stop overhead — grows with N."""
         return (
             self.cal.job_dispatch_base_s * DISPATCH_SCALE
-            + self.cal.job_dispatch_per_node_s * self.n_nodes
+            + PER_NODE_DISPATCH_S * self.n_nodes
         )
 
     def _scale(self) -> float:
@@ -92,7 +99,8 @@ class SimulatedCluster:
 
     def _spill_factor(self, cost: UdfCost) -> float:
         """Memory-pressure multiplier on the state term (Q7 only)."""
-        if not cost.mem_hungry or self.n_nodes >= SPILL_FREE_NODES:
+        if (cost.name not in MEM_HUNGRY_UDFS
+                or self.n_nodes >= SPILL_FREE_NODES):
             return 1.0
         starvation = 1.0 - self.n_nodes / SPILL_FREE_NODES
         return 1.0 + SPILL_PENALTY * starvation

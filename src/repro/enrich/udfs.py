@@ -76,6 +76,25 @@ def _lookup(batch: DataFrame, per_key: DataFrame, key: str,
     return out.fillna(fills)
 
 
+def _kind_counts(rows: DataFrame, group: str, kind: str,
+                 alias: str) -> DataFrame:
+    """Per ``group``: how many ``rows`` fall in each ``kind``, as one
+    ``kind:cnt`` string sorted and joined by ``;`` (column ``alias``)."""
+    return (
+        rows.groupBy(group, kind)
+        .agg(F.count(F.lit(1)).alias("cnt"))
+        .groupBy(group)
+        .agg(
+            F.array_join(
+                F.array_sort(
+                    F.collect_list(F.concat_ws(":", F.col(kind), F.col("cnt")))
+                ),
+                ";",
+            ).alias(alias)
+        )
+    )
+
+
 # -- Q1 Safety Rating (hash join) --------------------------------------------
 
 def _q1(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
@@ -257,20 +276,8 @@ def _q6(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
         probe.select("id", "latitude", "longitude"), "latitude", "longitude",
         fac, "facility_lat", "facility_lon", NEARBY_RADIUS,
     )
-    fac_per_id = (
-        fac_matches.groupBy("id", "facility_type")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .groupBy("id")
-        .agg(
-            F.array_join(
-                F.array_sort(
-                    F.collect_list(
-                        F.concat_ws(":", F.col("facility_type"), F.col("cnt"))
-                    )
-                ),
-                ";",
-            ).alias("nearby_facilities")
-        )
+    fac_per_id = _kind_counts(
+        fac_matches, "id", "facility_type", "nearby_facilities"
     )
 
     rb = refs["religious_buildings"]
@@ -379,49 +386,23 @@ def _q7(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
     # Expensive reference-reference joins, recomputed per invocation —
     # this is what makes Tweet Context the paper's costliest UDF and the
     # one that gains most from batching (§ 7.4.2).
-    fac_by_district = (
-        fac.crossJoin(d)
-        .where(
+    fac_by_district = _kind_counts(
+        fac.crossJoin(d).where(
             point_in_rectangle(
                 F.col("facility_lat"), F.col("facility_lon"),
                 F.col("x_lo"), F.col("y_lo"), F.col("x_hi"), F.col("y_hi"),
             )
-        )
-        .groupBy("district_area_id", "facility_type")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .groupBy("district_area_id")
-        .agg(
-            F.array_join(
-                F.array_sort(
-                    F.collect_list(
-                        F.concat_ws(":", F.col("facility_type"), F.col("cnt"))
-                    )
-                ),
-                ";",
-            ).alias("area_facilities")
-        )
+        ),
+        "district_area_id", "facility_type", "area_facilities",
     )
-    eth_by_district = (
-        per.crossJoin(d)
-        .where(
+    eth_by_district = _kind_counts(
+        per.crossJoin(d).where(
             point_in_rectangle(
                 F.col("person_lat"), F.col("person_lon"),
                 F.col("x_lo"), F.col("y_lo"), F.col("x_hi"), F.col("y_hi"),
             )
-        )
-        .groupBy("district_area_id", "ethnicity")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .groupBy("district_area_id")
-        .agg(
-            F.array_join(
-                F.array_sort(
-                    F.collect_list(
-                        F.concat_ws(":", F.col("ethnicity"), F.col("cnt"))
-                    )
-                ),
-                ";",
-            ).alias("ethnicity_dist")
-        )
+        ),
+        "district_area_id", "ethnicity", "ethnicity_dist",
     )
     district_info = (
         d.join(inc, "district_area_id", "left")
@@ -496,7 +477,7 @@ def _q8(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
         .select("id", "religion_name")
         .distinct()
     )
-    attacks = (
+    in_window = (
         religions.join(probe.select("id", "created_at"), "id")
         .join(at, religions["religion_name"] == at["related_religion"], "inner")
         .where(
@@ -507,19 +488,9 @@ def _q8(spark: SparkSession, batch: DataFrame, refs: dict) -> DataFrame:
                 + F.expr(f"INTERVAL {ATTACK_WINDOW_DAYS} DAYS")
             )
         )
-        .groupBy("id", "religion_name")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .groupBy("id")
-        .agg(
-            F.array_join(
-                F.array_sort(
-                    F.collect_list(
-                        F.concat_ws(":", F.col("religion_name"), F.col("cnt"))
-                    )
-                ),
-                ";",
-            ).alias("nearby_religious_attacks")
-        )
+    )
+    attacks = _kind_counts(
+        in_window, "id", "religion_name", "nearby_religious_attacks"
     )
     return _attach(batch, attacks, {"nearby_religious_attacks": ""})
 

@@ -1,12 +1,12 @@
 """Shared experiment plumbing: scales, store/sink setup, table formatting.
 
 Scale policy (DESIGN.md § 3/§ 5): reference datasets run at
-``BENCH_REF_SCALE`` (1/10 of paper cardinality) and tweet volumes are
-reduced from the paper's 10M/1M/100K to counts that keep a full table
-sweep within minutes on one machine — the compared quantities are
-ratios and shapes, which survive the uniform scale-down. Every harness
-accepts ``quick=True`` for a further-reduced variant, a quick check of
-its table's shape. Each harness's ``tables`` returns its finished
+``synth_data.BENCH_REF_SCALE`` (1/10 of paper cardinality) and tweet
+volumes are reduced from the paper's 10M/1M/100K to counts that keep a
+full table sweep within minutes on one machine — the compared quantities
+are ratios and shapes, which survive the uniform scale-down. Every
+harness accepts ``quick=True`` for a further-reduced variant
+(``synth_data.QUICK_REF_SCALE``), a quick check of its table's shape. Each harness's ``tables`` returns its finished
 :class:`Table` rows for ``jobs/tables.py`` to print and save.
 """
 import os
@@ -18,17 +18,12 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import synth_data
-from repro.cluster.calibrate import make_ref_pdfs
+from repro.core import feed
 from repro.core.pipeline import DecoupledPipeline
 from repro.core.predeploy import PER_BATCH
 from repro.enrich import udfs
 from repro.storage.lsm_store import build_stores
 from repro.storage.sink import StorageSink
-
-BENCH_REF_SCALE = 0.1
-#: districts at bench scale: 50 (paper 500) — keeps person-in-district
-#: joins ~1:1 while persons run at 100K (paper substitution: 1e9 → 1e6·0.1)
-BENCH_DISTRICT_REF_SCALE = 0.1
 
 #: Feed volumes per experiment (paper value in comments).
 N_TWEETS_BASIC = 20_000       # Fig 24: 10M
@@ -36,7 +31,9 @@ N_TWEETS_ENRICH = 6_720       # Figs 25/26: 1M
 N_TWEETS_UPDATES = 3_360      # Fig 27: 100K
 N_TWEETS_COMPLEX = 6_720      # Fig 29: 100K
 
-BATCH_SIZES = {"1X": 420, "4X": 1680, "16X": 6720}
+BATCH_SIZES = {
+    "1X": feed.BATCH_1X, "4X": feed.BATCH_4X, "16X": feed.BATCH_16X,
+}
 
 
 class Workbench:
@@ -47,10 +44,10 @@ class Workbench:
         self.spark = spark
         self._own_dir = base_dir is None
         self.base_dir = base_dir or tempfile.mkdtemp(prefix="repro-bench-")
-        self.ref_pdfs = make_ref_pdfs(
+        self.ref_pdfs = synth_data.make_ref_pdfs(
             ref_names, ref_scale,
-            district_scale=BENCH_DISTRICT_REF_SCALE
-            if ref_scale == BENCH_REF_SCALE
+            district_scale=synth_data.BENCH_DISTRICT_REF_SCALE
+            if ref_scale == synth_data.BENCH_REF_SCALE
             else None,
         )
         self.stores = build_stores(

@@ -13,11 +13,10 @@ simulated sweep, where intake and parse placement differ.
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.cluster.calibrate import Calibration
+from repro.cluster.calibrate import Calibration, RunCalibration
 from repro.cluster.simulator import SimulatedCluster
 from repro.core.pipeline import DecoupledPipeline
 from repro.core.predeploy import ONCE
-from repro.experiments.calibration import RunCalibration
 from repro.experiments.common import (
     BATCH_SIZES, N_TWEETS_BASIC, Table, Workbench,
 )

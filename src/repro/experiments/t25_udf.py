@@ -13,9 +13,10 @@ from pyspark.sql import SparkSession
 from repro.core.predeploy import ONCE
 from repro.enrich import java_udfs, udfs
 from repro.experiments.common import (
-    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_ENRICH, Table, Workbench,
+    BATCH_SIZES, N_TWEETS_ENRICH, Table, Workbench,
     feed_rows, refs_of,
 )
+from repro.synth_data import BENCH_REF_SCALE, QUICK_REF_SCALE
 
 UDF_NAMES = [u.name for u in udfs.BASIC_UDFS]
 
@@ -34,7 +35,7 @@ def run(spark: SparkSession, *, quick: bool = False,
     names = list(udf_names or UDF_NAMES)
     n = 1_680 if quick else N_TWEETS_ENRICH
     batches = {"1X": BATCH_SIZES["1X"]} if quick else BATCH_SIZES
-    ref_scale = 0.02 if quick else BENCH_REF_SCALE
+    ref_scale = QUICK_REF_SCALE if quick else BENCH_REF_SCALE
     wb = Workbench(spark, refs_of(names), ref_scale=ref_scale)
     rows = []
     try:

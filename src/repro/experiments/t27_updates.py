@@ -15,8 +15,9 @@ from repro.core.pipeline import DecoupledPipeline
 from repro.core.updates import UpdateFeeder
 from repro.enrich import udfs
 from repro.experiments.common import (
-    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_UPDATES, Table, Workbench,
+    BATCH_SIZES, N_TWEETS_UPDATES, Table, Workbench,
 )
+from repro.synth_data import BENCH_REF_SCALE, QUICK_REF_SCALE
 
 UDF_NAMES = [u.name for u in udfs.BASIC_UDFS]
 UPDATE_RATES = (0, 1, 40, 400)
@@ -33,7 +34,7 @@ def run(spark: SparkSession, *, quick: bool = False,
     rates = tuple(rates if rates is not None else UPDATE_RATES)
     n = 840 if quick else N_TWEETS_UPDATES
     batch = BATCH_SIZES["1X"]
-    ref_scale = 0.02 if quick else BENCH_REF_SCALE
+    ref_scale = QUICK_REF_SCALE if quick else BENCH_REF_SCALE
     rows = []
     for name in names:
         udf = udfs.BY_NAME[name]

@@ -9,9 +9,9 @@ overhead grows with nodes (DESIGN.md § 4).
 """
 import pandas as pd
 
+from repro.cluster.calibrate import RunCalibration
 from repro.cluster.simulator import SimulatedCluster
 from repro.enrich import udfs
-from repro.experiments.calibration import RunCalibration
 from repro.experiments.common import BATCH_SIZES, Table
 
 UDF_NAMES = [u.name for u in udfs.BASIC_UDFS]

@@ -11,9 +11,10 @@ from pyspark.sql import SparkSession
 
 from repro.enrich import udfs
 from repro.experiments.common import (
-    BATCH_SIZES, BENCH_REF_SCALE, N_TWEETS_COMPLEX, Table, Workbench,
+    BATCH_SIZES, N_TWEETS_COMPLEX, Table, Workbench,
     feed_rows, refs_of,
 )
+from repro.synth_data import BENCH_REF_SCALE, QUICK_REF_SCALE
 
 UDF_NAMES = [
     "nearby_monuments", "suspicious_names", "tweet_context", "worrisome_tweets"
@@ -30,7 +31,7 @@ def run(spark: SparkSession, *, quick: bool = False,
     names = list(udf_names or UDF_NAMES)
     n = 1_680 if quick else N_TWEETS_COMPLEX
     batches = {"16X": BATCH_SIZES["16X"]} if quick else BATCH_SIZES
-    ref_scale = 0.02 if quick else BENCH_REF_SCALE
+    ref_scale = QUICK_REF_SCALE if quick else BENCH_REF_SCALE
     wb = Workbench(spark, refs_of(names), ref_scale=ref_scale)
     try:
         rows = [

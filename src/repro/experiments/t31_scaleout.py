@@ -9,8 +9,8 @@ calibrated costs (DESIGN.md § 4).
 """
 import pandas as pd
 
+from repro.cluster.calibrate import RunCalibration
 from repro.cluster.simulator import SimulatedCluster
-from repro.experiments.calibration import RunCalibration
 from repro.experiments.common import BATCH_SIZES, Table
 
 UDF_NAMES = [

@@ -36,28 +36,9 @@ class GridIndex:
         self.cell_size = float(cell_size)
         self.n_cells_per_axis = max(1, math.ceil(WORLD / self.cell_size))
 
-    def cell_id(self, lat: float, lon: float) -> int:
-        """Cell id of a point (row-major); clamps points on the world edge."""
-        r = min(int(lat // self.cell_size), self.n_cells_per_axis - 1)
-        c = min(int(lon // self.cell_size), self.n_cells_per_axis - 1)
-        return r * self.n_cells_per_axis + c
-
-    def covering_cells(self, lat: float, lon: float, radius: float) -> list:
-        """All cell ids intersecting the circle's bounding box."""
-        r_lo = max(0, int((lat - radius) // self.cell_size))
-        r_hi = min(self.n_cells_per_axis - 1, int((lat + radius) // self.cell_size))
-        c_lo = max(0, int((lon - radius) // self.cell_size))
-        c_hi = min(self.n_cells_per_axis - 1, int((lon + radius) // self.cell_size))
-        return [
-            r * self.n_cells_per_axis + c
-            for r in range(r_lo, r_hi + 1)
-            for c in range(c_lo, c_hi + 1)
-        ]
-
-    # -- Spark-side operations ------------------------------------------------
-
     def index_points(self, df: DataFrame, lat_col: str, lon_col: str) -> DataFrame:
-        """Build side: tag each reference point with its grid cell id."""
+        """Build side: tag each reference point with its grid cell id
+        (row-major); points on the world edge clamp into the last cell."""
         n = F.lit(self.n_cells_per_axis)
         cell = F.lit(self.cell_size)
         r = F.least(F.floor(F.col(lat_col) / cell).cast("long"), n - 1)
@@ -66,7 +47,8 @@ class GridIndex:
 
     def probe_cells(self, df: DataFrame, lat_col: str, lon_col: str,
                     radius: float) -> DataFrame:
-        """Probe side: explode each probe row to its covering cell ids."""
+        """Probe side: explode each probe row to the ids of the cells that
+        intersect its circle's bounding box."""
         n = F.lit(self.n_cells_per_axis)
         cell = F.lit(self.cell_size)
         rad = F.lit(float(radius))

@@ -280,3 +280,33 @@ REFERENCE_GENERATORS = {
     "persons": (persons_pdf, "person_id"),
     "attack_events": (attack_events_pdf, "attack_record_id"),
 }
+
+#: Reference scale of the T-tables and of the calibration: 1/10 of paper
+#: cardinality (DESIGN.md § 3).
+BENCH_REF_SCALE = 0.1
+#: districts at bench scale: 50 (paper 500) — keeps person-in-district
+#: joins ~1:1 while persons run at 100K (paper substitution: 1e9 → 1e6·0.1)
+BENCH_DISTRICT_REF_SCALE = 0.1
+#: Reference scale of the ``--quick`` tables.
+QUICK_REF_SCALE = 0.02
+
+
+def make_ref_pdfs(names, ref_scale: float, district_scale: float | None = None
+                  ) -> dict:
+    """Reference frames for the named datasets at ``ref_scale``.
+
+    District-backed datasets keep the paper's absolute cardinality
+    (500 districts at scale 1.0) relative to ``district_scale``.
+    """
+    if district_scale is None:
+        district_scale = ref_scale * 10  # districts are 500 at paper scale
+    out = {}
+    for name in names:
+        gen, _key = REFERENCE_GENERATORS[name]
+        scale = (
+            district_scale
+            if name in ("district_areas", "average_incomes")
+            else ref_scale
+        )
+        out[name] = gen(ref_scale=scale)
+    return out

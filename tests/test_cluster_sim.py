@@ -1,26 +1,31 @@
 """Cluster simulator: the modelled shapes the paper's sweep figures rely on."""
+import types
+
 import pytest
 
+from repro.cluster import calibrate
 from repro.cluster.calibrate import (
-    Calibration, UdfCost, calibrate_udf, make_ref_pdfs, measure_dispatch_base,
+    Calibration, UdfCost, calibrate_udf, measure_dispatch_base,
     measure_intake_cost, measure_parse_cost,
 )
-from repro.cluster.simulator import BASE_NODES, SimulatedCluster
+from repro.cluster.simulator import (
+    MEM_HUNGRY_UDFS, PER_NODE_DISPATCH_S, SimulatedCluster,
+)
 from repro.enrich import udfs
+from repro.synth_data import make_ref_pdfs
 
 CAL = Calibration(
     intake_s_per_record=20e-6,
     parse_s_per_record=60e-6,
     job_dispatch_base_s=0.03,
-    job_dispatch_per_node_s=0.002,
 )
 
 CHEAP = UdfCost("cheap", serial_s=0.05, state_s=0.05, record_us=5.0)
 HEAVY = UdfCost("heavy", serial_s=0.05, state_s=0.2, record_us=800.0)
 INDEXED = UdfCost("indexed", serial_s=0.05, state_s=0.2, record_us=0.0,
                   indexed_record_us=800.0)
-MEMHOG = UdfCost("memhog", serial_s=0.05, state_s=3.0, record_us=500.0,
-                 mem_hungry=True)
+MEMHOG = UdfCost("tweet_context", serial_s=0.05, state_s=3.0,
+                 record_us=500.0)
 
 
 def _speedup(cost, batch, n_hi=24, n_lo=6):
@@ -177,14 +182,14 @@ def test_calibrate_udf_smoke(spark):
     full = make_ref_pdfs(("safety_ratings",), 0.02)
     half = make_ref_pdfs(("safety_ratings",), 0.01)
     cost = calibrate_udf(
-        spark, udfs.SAFETY_RATING, full, half,
-        b_small=60, b_large=480, reps=1,
+        spark, udfs.SAFETY_RATING, full, half, b_small=60, b_large=480,
+        rounds=calibrate.QUICK_ROUNDS,
     )
     assert cost.name == "safety_rating"
     assert cost.serial_s >= 0 and cost.state_s >= 0
     assert cost.record_us > 0
     assert cost.indexed_record_us == 0.0
-    assert not cost.mem_hungry
+    assert cost.name not in MEM_HUNGRY_UDFS
 
 
 def test_calibrate_udf_indexed_mapping(spark):
@@ -192,11 +197,48 @@ def test_calibrate_udf_indexed_mapping(spark):
     full = make_ref_pdfs(("monuments",), 0.002)
     half = make_ref_pdfs(("monuments",), 0.001)
     cost = calibrate_udf(
-        spark, udfs.NEARBY_MONUMENTS, full, half,
-        b_small=60, b_large=480, reps=1,
+        spark, udfs.NEARBY_MONUMENTS, full, half, b_small=60, b_large=480,
+        rounds=calibrate.QUICK_ROUNDS,
     )
     assert cost.record_us == 0.0
     assert cost.indexed_record_us > 0
+
+
+def test_calibrate_udf_fits_past_warm_up(monkeypatch):
+    """A job whose first calls pay a large, decaying warm-up excess: the
+    fit still recovers the per-record slope and keeps the excess out of
+    ``state_s``. Time is a fake clock that each invocation advances."""
+    warm_s, serial_s, slope_s, state_s_per_ref = 2.0, 0.05, 20e-6, 1e-6
+    clock, calls = [0.0], [0]
+
+    class FakeJob:
+        def __init__(self, spark, udf, ref_provider):
+            self.n_refs = len(ref_provider()["safety_ratings"])
+
+        def deploy(self):
+            pass
+
+        def invoke(self, batch):
+            warm_up = warm_s * 0.5 ** calls[0]  # warming the session's plans
+            calls[0] += 1
+            clock[0] += (warm_up + serial_s + slope_s * len(batch)
+                         + state_s_per_ref * self.n_refs)
+
+    monkeypatch.setattr(calibrate, "PredeployedJob", FakeJob)
+    monkeypatch.setattr(
+        calibrate, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+    )
+    fake_spark = types.SimpleNamespace(createDataFrame=lambda pdf: pdf)
+    full = make_ref_pdfs(("safety_ratings",), 0.1)
+    half = make_ref_pdfs(("safety_ratings",), 0.05)
+    cost = calibrate_udf(
+        fake_spark, udfs.SAFETY_RATING, full, half, b_small=420, b_large=6720,
+        rounds=calibrate.ROUNDS,
+    )
+    assert cost.record_us == pytest.approx(slope_s * 1e6, rel=1e-3)
+    state_s = state_s_per_ref * len(full["safety_ratings"])
+    assert cost.state_s == pytest.approx(state_s, rel=1e-3)
+    assert cost.serial_s == pytest.approx(serial_s, rel=1e-3)
 
 
 def test_spill_factor_bounds_and_monotonicity():
@@ -211,14 +253,14 @@ def test_spill_factor_bounds_and_monotonicity():
 
 def test_spill_only_applies_to_mem_hungry():
     assert SimulatedCluster(6, CAL)._spill_factor(HEAVY) == 1.0
+    assert MEM_HUNGRY_UDFS == {udfs.TWEET_CONTEXT.name}
 
 
 def test_dispatch_scale_applied():
     from repro.cluster.simulator import DISPATCH_SCALE
 
     c = SimulatedCluster(1, CAL)
-    expected = CAL.job_dispatch_base_s * DISPATCH_SCALE \
-        + CAL.job_dispatch_per_node_s
+    expected = CAL.job_dispatch_base_s * DISPATCH_SCALE + PER_NODE_DISPATCH_S
     assert c.dispatch_s() == pytest.approx(expected)
 
 

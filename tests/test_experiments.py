@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
+from repro.cluster import calibrate
 from repro.experiments import (
-    calibration, common, t24_basic, t25_udf, t27_updates, t28_refscale,
-    t29_complexity, t30_speedup, t31_scaleout,
+    common, t24_basic, t25_udf, t27_updates, t28_refscale, t29_complexity,
+    t30_speedup, t31_scaleout,
 )
 from repro.experiments.common import Workbench, format_table
 
@@ -20,7 +21,7 @@ JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs")
 @pytest.fixture(scope="module")
 def quick_cal(spark):
     """One quick calibration shared by the simulated-table tests."""
-    return calibration.RunCalibration(spark, quick=True)
+    return calibrate.RunCalibration(spark, quick=True)
 
 
 def test_t24_simulated_shapes(quick_cal):
@@ -116,8 +117,8 @@ def test_runner_calibrates_once_per_process(spark, tmp_path, monkeypatch):
     spec.loader.exec_module(runner)
     monkeypatch.setattr(common, "results_dir", lambda: str(tmp_path))
     calls = {"machine": 0, "udfs": []}
-    measure_machine = calibration.calibrate_machine
-    measure_udf = calibration.calibrate_udf
+    measure_machine = calibrate.calibrate_machine
+    measure_udf = calibrate.calibrate_udf
 
     def count_machine(spark):
         calls["machine"] += 1
@@ -127,8 +128,8 @@ def test_runner_calibrates_once_per_process(spark, tmp_path, monkeypatch):
         calls["udfs"].append(udf.name)
         return measure_udf(spark, udf, *args, **kw)
 
-    monkeypatch.setattr(calibration, "calibrate_machine", count_machine)
-    monkeypatch.setattr(calibration, "calibrate_udf", count_udf)
+    monkeypatch.setattr(calibrate, "calibrate_machine", count_machine)
+    monkeypatch.setattr(calibrate, "calibrate_udf", count_udf)
 
     assert runner.parse_args(["T24", "T28", "T30", "--quick"]).quick
     cal = runner.run_tables(spark, ["T24", "T28", "T30"], quick=True)

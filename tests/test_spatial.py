@@ -11,11 +11,48 @@ from repro.spatial.geometry import (
     euclidean_distance, point_in_circle, point_in_rectangle, sql_distance,
 )
 from repro.spatial.grid_index import GridIndex, naive_spatial_join
+from repro.synth_data import WORLD
 
 coord = st.floats(min_value=0.0, max_value=179.999, allow_nan=False)
 
 
-# -- pure-python grid math ----------------------------------------------------
+# -- grid math ----------------------------------------------------------------
+
+GRID = GridIndex(cell_size=1.5)
+
+
+def _home_and_cover(spark, rows, radius):
+    """One Spark job over ``rows`` of ``(p_lat, p_lon, q_lat, q_lon)``: per
+    row, the home cell of point p (``index_points``) and the set of cells
+    covering the circle of ``radius`` around q (``probe_cells``)."""
+    pdf = pd.DataFrame(rows, columns=["p_lat", "p_lon", "q_lat", "q_lon"])
+    homed = GRID.index_points(
+        spark.createDataFrame(pdf.rename_axis("pid").reset_index()),
+        "p_lat", "p_lon",
+    ).withColumnRenamed("_cell", "home")
+    out = GRID.probe_cells(homed, "q_lat", "q_lon", radius).select(
+        "pid", "home", "_cell"
+    ).collect()
+    home, cover = {}, {i: set() for i in range(len(rows))}
+    for r in out:
+        home[r.pid] = r.home
+        cover[r.pid].add(r._cell)
+    return [(home[i], cover[i]) for i in range(len(rows))]
+
+
+@st.composite
+def _query_and_nearby(draw):
+    """A circle in the world and points drawn from its bounding box."""
+    lat, lon = draw(coord), draw(coord)
+    radius = draw(st.floats(min_value=0.01, max_value=10.0))
+    off = st.floats(min_value=-radius, max_value=radius)
+    pts = [(lat + a, lon + b) for a, b in draw(
+        st.lists(st.tuples(off, off), min_size=1, max_size=40)
+    )]
+    return lat, lon, radius, [
+        (a, b) for a, b in pts if 0 <= a <= WORLD and 0 <= b <= WORLD
+    ]
+
 
 def test_grid_requires_positive_cell():
     with pytest.raises(ValueError):
@@ -25,49 +62,51 @@ def test_grid_requires_positive_cell():
 
 
 def test_grid_cell_count():
-    g = GridIndex(cell_size=1.5)
-    assert g.n_cells_per_axis == 120
+    assert GRID.n_cells_per_axis == 120
 
 
-def test_cell_id_corners():
-    g = GridIndex(cell_size=1.5)
-    assert g.cell_id(0.0, 0.0) == 0
-    assert g.cell_id(0.0, 1.5) == 1
-    assert g.cell_id(1.5, 0.0) == 120
-    # world edge clamps into the last cell instead of overflowing
-    assert g.cell_id(180.0, 180.0) == 120 * 120 - 1
+def test_cell_id_corners(spark):
+    corners = [(0.0, 0.0), (0.0, 1.5), (1.5, 0.0), (180.0, 180.0)]
+    got = _home_and_cover(spark, [p + p for p in corners], 0.01)
+    # the world edge clamps into the last cell instead of overflowing
+    assert [home for home, _ in got] == [0, 1, 120, 120 * 120 - 1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(lat=coord, lon=coord)
-def test_cell_id_in_range(lat, lon):
-    g = GridIndex(cell_size=1.5)
-    cid = g.cell_id(lat, lon)
-    assert 0 <= cid < g.n_cells_per_axis**2
-
-
-@settings(max_examples=200, deadline=None)
-@given(lat=coord, lon=coord, radius=st.floats(min_value=0.01, max_value=10.0))
-def test_covering_cells_contains_center(lat, lon, radius):
-    g = GridIndex(cell_size=1.5)
-    assert g.cell_id(lat, lon) in g.covering_cells(lat, lon, radius)
-
-
-@settings(max_examples=100, deadline=None)
-@given(lat=coord, lon=coord, plat=coord, plon=coord,
+@settings(max_examples=5, deadline=None)
+@given(points=st.lists(st.tuples(coord, coord), min_size=1, max_size=50),
        radius=st.floats(min_value=0.01, max_value=10.0))
-def test_covering_cells_complete(lat, lon, plat, plon, radius):
+def test_cell_id_in_range(spark, points, radius):
+    n_cells = GRID.n_cells_per_axis**2
+    for home, cover in _home_and_cover(spark, [p + p for p in points], radius):
+        assert 0 <= home < n_cells
+        assert all(0 <= c < n_cells for c in cover)
+
+
+@settings(max_examples=5, deadline=None)
+@given(points=st.lists(st.tuples(coord, coord), min_size=1, max_size=50),
+       radius=st.floats(min_value=0.01, max_value=10.0))
+def test_covering_cells_contains_center(spark, points, radius):
+    for home, cover in _home_and_cover(spark, [p + p for p in points], radius):
+        assert home in cover
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=_query_and_nearby())
+def test_covering_cells_complete(spark, case):
     """Any point within radius of the query lies in a covering cell."""
-    g = GridIndex(cell_size=1.5)
-    if (plat - lat) ** 2 + (plon - lon) ** 2 <= radius**2:
-        assert g.cell_id(plat, plon) in g.covering_cells(lat, lon, radius)
+    lat, lon, radius, points = case
+    inside = [(a, b) for a, b in points
+              if (a - lat) ** 2 + (b - lon) ** 2 <= radius**2]
+    if inside:
+        rows = [(a, b, lat, lon) for a, b in inside]
+        for home, cover in _home_and_cover(spark, rows, radius):
+            assert home in cover
 
 
-def test_covering_cells_bounded():
-    g = GridIndex(cell_size=1.5)
-    cells = g.covering_cells(90.0, 90.0, 1.5)
+def test_covering_cells_bounded(spark):
+    [(_, cover)] = _home_and_cover(spark, [(90.0, 90.0, 90.0, 90.0)], 1.5)
     # bbox of a 1.5-radius circle spans at most 3x3 cells of size 1.5
-    assert 1 <= len(cells) <= 9
+    assert 1 <= len(cover) <= 9
 
 
 # -- Spark column expressions -------------------------------------------------
