@@ -7,8 +7,9 @@ enrichment run the same job; they differ only in when it builds its
 enrichment state, which the ``refresh`` policy chooses:
 
 * ``ONCE`` — at ``deploy()`` (stock AsterixDB, Model 3). SQL++ reference
-  snapshots are taken once, cached and materialized; a Java UDF runs
-  ``initialize`` once. Reference updates during the feed are never seen.
+  snapshots are taken once and materialized into job-private blocks
+  (``localCheckpoint``); a Java UDF runs ``initialize`` once. Reference
+  updates during the feed are never seen.
 * ``PER_BATCH`` — at every ``invoke()`` (the new framework, Model 2). The
   job asks its reference provider for fresh snapshots each time, so a
   batch sees every update applied before its snapshot (footnote 4).
@@ -53,9 +54,10 @@ class PredeployedJob:
         if isinstance(udf, EnrichmentUdf):
             refs = self._ref_provider()
             if self.refresh == ONCE:
-                refs = {name: df.cache() for name, df in refs.items()}
-                for df in refs.values():
-                    df.count()  # materialize the frozen state now
+                # Frozen now, and private: ``cache()`` would register the
+                # plan with the session's cache manager, which then serves
+                # every later read of the same components from it.
+                refs = {name: df.localCheckpoint() for name, df in refs.items()}
                 self._refs = refs
             probe = self.spark.createDataFrame(_probe_batch())
             _ = udf.transform(self.spark, probe, refs).schema

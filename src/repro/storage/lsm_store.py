@@ -10,18 +10,21 @@ start and degrades as the rate grows.
 
 This store reproduces that mechanism honestly rather than modelling it:
 
-* ``bulk_load`` writes an immutable on-disk component (parquet). The
-  store keeps the schema it wrote, so reading a component later infers
-  nothing and launches no Spark job;
+* ``bulk_load`` writes an immutable on-disk component (parquet). A
+  component never changes once written, so the store builds its read
+  once, at the first snapshot, with the schema it wrote: later reads
+  list no files, infer nothing and re-plan nothing, but every action on
+  them still reads the files (nothing is cached);
 * ``upsert`` appends to the in-memory component (thread-safe — the
   update feeder runs concurrently with computing jobs);
-* ``snapshot`` returns the merged view **as of now**. With an empty
-  memory component it is a bare parquet scan; once updates exist it
-  must union the components and deduplicate by key keeping the newest
-  version — real extra work per computing job, growing with the number
-  of buffered updates. The snapshot keeps the partitioning its plan
-  gives (a scan is 1–2 partitions); the UDFs' hash joins broadcast it or
-  a per-key table built from it (``repro.enrich.udfs``);
+* ``snapshot`` returns the merged view **as of now**. With one disk
+  component and an empty memory component it is that component's kept
+  scan; otherwise it must union the components and deduplicate by key
+  keeping the newest version — real extra work per computing job,
+  growing with the number of buffered updates. The snapshot keeps the
+  partitioning its plan gives (a scan is 1–2 partitions); the UDFs' hash
+  joins broadcast it or a per-key table built from it
+  (``repro.enrich.udfs``);
 * ``flush`` migrates the memory component to a new disk component
   (LSM flush), resetting read amplification.
 
@@ -29,6 +32,7 @@ Record-level consistency matches the paper's footnote 4: a computing
 job sees all updates applied before its ``snapshot`` call; later
 updates are picked up by the next invocation.
 """
+import functools
 import itertools
 import os
 import threading
@@ -36,7 +40,33 @@ import threading
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import StructType
 from pyspark.sql.window import Window
+
+
+class _DiskComponent:
+    """An immutable parquet component and its read, planned once.
+
+    The read is built at first use, not at write time, so a bulk load
+    lists no files; after that every snapshot reuses it, and each action
+    on it still scans the files.
+    """
+
+    def __init__(self, spark: SparkSession, path: str, schema: StructType):
+        self._spark = spark
+        self._path = path
+        # written here, so known: reading with it skips footer inference
+        self._schema = schema
+
+    @functools.cached_property
+    def scan(self) -> DataFrame:
+        """All columns, the ``_v`` version stamp included."""
+        return self._spark.read.schema(self._schema).parquet(self._path)
+
+    @functools.cached_property
+    def view(self) -> DataFrame:
+        """The records as readers see them: ``scan`` without ``_v``."""
+        return self.scan.drop("_v")
 
 
 class LsmStore:
@@ -47,7 +77,7 @@ class LsmStore:
         self.key = key
         self._lock = threading.Lock()
         self._mem: list = []          # list[pd.DataFrame], in arrival order
-        self._disk: list = []         # (component dir, schema), oldest first
+        self._disk: list = []         # _DiskComponent, oldest first
         self._seq = itertools.count() # version stamp for newest-wins merge
         self._component_id = itertools.count()
         os.makedirs(path, exist_ok=True)
@@ -76,10 +106,7 @@ class LsmStore:
         comp = os.path.join(self.path, f"component-{next(self._component_id):05d}")
         sdf = spark.createDataFrame(pdf)
         sdf.write.mode("overwrite").parquet(comp)
-        # A disk component never changes after it is written, so its
-        # schema is known here; reading with it skips the footer-inference
-        # job Spark would otherwise launch on every snapshot.
-        self._disk.append((comp, sdf.schema))
+        self._disk.append(_DiskComponent(spark, comp, sdf.schema))
 
     # -- read path ------------------------------------------------------------
 
@@ -91,38 +118,41 @@ class LsmStore:
     def snapshot(self, spark: SparkSession) -> DataFrame:
         """Merged, deduplicated view of all components as of this call.
 
-        The newest-wins merge (window over ``_v``) only kicks in when
-        more than one component exists — a quiescent store reads at
-        plain scan cost, an updated one pays the merge, which is the
-        paper's § 7.3 effect.
+        One disk component and no buffered upserts: that component's kept
+        view, at plain scan cost. Anything more pays the newest-wins merge
+        (window over ``_v``) on every read, which is the paper's § 7.3
+        effect.
         """
         with self._lock:
             mem = list(self._mem)
             disk = list(self._disk)
         if not disk and not mem:
             raise RuntimeError(f"store {self.path} is empty — bulk_load first")
-        parts = [spark.read.schema(schema).parquet(comp) for comp, schema in disk]
+        if len(disk) == 1 and not mem:
+            return disk[0].view
+        parts = [c.scan for c in disk]
         if mem:
             parts.append(spark.createDataFrame(pd.concat(mem, ignore_index=True)))
         merged = parts[0]
         for p in parts[1:]:
             merged = merged.unionByName(p)
-        if len(parts) > 1:
-            w = Window.partitionBy(self.key).orderBy(F.col("_v").desc())
-            merged = (
-                merged.withColumn("_rank", F.row_number().over(w))
-                .where(F.col("_rank") == 1)
-                .drop("_rank")
-            )
+        w = Window.partitionBy(self.key).orderBy(F.col("_v").desc())
         # No fixed output width: the UDFs broadcast the snapshot (or a
         # per-key table built from it) into their hash joins, so join
         # width does not depend on whether the scan (1–2 partitions) or
         # the merge (shuffle width) ran, and a repartition would only add
         # a shuffle to every read.
-        return merged.drop("_v")
+        return (
+            merged.withColumn("_rank", F.row_number().over(w))
+            .where(F.col("_rank") == 1)
+            .drop("_rank", "_v")
+        )
 
     def snapshot_pdf(self, spark: SparkSession) -> pd.DataFrame:
-        """Pandas view of :meth:`snapshot` — the Java-UDF resource-file path."""
+        """Pandas view of :meth:`snapshot` — the Java-UDF resource-file path.
+
+        It goes through :meth:`snapshot`, so whatever wraps that sees every
+        read of the store (``ingest_bench/load.watch_store`` does)."""
         return self.snapshot(spark).toPandas()
 
 

@@ -1,8 +1,12 @@
 """Feed adapter + parser: wire format, framing, determinism."""
 import json
 
+from datetime import datetime
+
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data
 from repro.core import feed
@@ -71,6 +75,31 @@ def test_parse_typed_created_at():
     pdf = synth_data.tweets_pdf(5, seed=3)
     back = feed.parse(feed.serialize(pdf))
     assert pd.api.types.is_datetime64_any_dtype(back["created_at"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.datetimes(min_value=datetime(1700, 1, 1),
+                             max_value=datetime(2200, 12, 31)),
+                min_size=1, max_size=8))
+def test_parse_created_at_matches_pandas(stamps):
+    """The per-record C parse gives what ``pd.Timestamp`` gives for naive
+    timestamps down to the microsecond, in a ``datetime64[ns]`` column."""
+    pdf = synth_data.tweets_pdf(len(stamps), seed=3).assign(
+        created_at=pd.to_datetime(stamps))
+    back = feed.parse(feed.serialize(pdf))
+    assert back["created_at"].dtype == "datetime64[ns]"
+    want = pd.Series([pd.Timestamp(s.isoformat()) for s in stamps],
+                     name="created_at")
+    pd.testing.assert_series_equal(back["created_at"], want)
+
+
+@pytest.mark.parametrize("bad", ["2019-13-01T00:00:00", "yesterday", ""])
+def test_parse_rejects_malformed_timestamp(bad):
+    line = feed.serialize(synth_data.tweets_pdf(1, seed=3)).decode()
+    rec = json.loads(line)
+    rec["created_at"] = bad
+    with pytest.raises(ValueError):
+        feed.parse((json.dumps(rec) + "\n").encode())
 
 
 def test_parse_skips_blank_lines():

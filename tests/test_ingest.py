@@ -34,10 +34,11 @@ def _upsert_all_to_z(store, ref_pdfs):
     store.upsert(ref_pdfs["safety_ratings"].assign(safety_rating="Z"))
 
 
-def _upsert_z_after_batch_1(udf, store, ref_pdfs):
+def _upsert_z_after_batch_1(udf, store, ref_pdfs, flush_with=None):
     """``udf`` upserting ``safety_rating="Z"`` for every country as soon as
-    batch 1 has been computed. It runs in the compute thread: batch 1's
-    snapshot is already taken, batch 2's is not yet."""
+    batch 1 has been computed, and flushing it into a new disk component
+    when given a session in ``flush_with``. It runs in the compute thread:
+    batch 1's snapshot is already taken, batch 2's is not yet."""
     sqlpp = isinstance(udf, udfs.EnrichmentUdf)
     batch_1 = 2 if sqlpp else 1  # deploy's plan check calls transform first
     calls = {"n": 0}
@@ -48,6 +49,8 @@ def _upsert_z_after_batch_1(udf, store, ref_pdfs):
             calls["n"] += 1
             if calls["n"] == batch_1:
                 _upsert_all_to_z(store, ref_pdfs)
+                if flush_with is not None:
+                    store.flush(flush_with)
             return out
         return wrapped
 
@@ -79,6 +82,44 @@ def test_refresh_policy_end_to_end(spark, ratings_store, sink, ref_pdfs,
     assert z_batches == (set() if refresh == ONCE else {1, 2})
     if refresh == PER_BATCH:
         assert (back.loc[back["id"] >= 20, "safety_rating"] == "Z").all()
+
+
+@pytest.mark.parametrize(
+    "make_udf", [lambda: udfs.SAFETY_RATING, java_udfs.SafetyRatingJava],
+    ids=["sqlpp", "java"],
+)
+def test_per_batch_sees_flushed_component(spark, ratings_store, sink,
+                                          ref_pdfs, make_udf):
+    """An upsert flushed into a new disk component between batches 1 and 2
+    reaches batches 2 and 3: the kept read of the first component does not
+    stand in for the store once a second one exists."""
+    udf = _upsert_z_after_batch_1(make_udf(), ratings_store, ref_pdfs,
+                                  flush_with=spark)
+    DecoupledPipeline(
+        spark, udf, {"safety_ratings": ratings_store}, sink
+    ).run(n_records=60, batch_size=20)
+    assert ratings_store.buffered_updates == 0
+    back = sink.read().toPandas()
+    z_batches = set(back.loc[back["safety_rating"] == "Z", "id"] // 20)
+    assert z_batches == {1, 2}
+    assert (back.loc[back["id"] >= 20, "safety_rating"] == "Z").all()
+
+
+def test_static_sqlpp_state_is_private(spark, ratings_store, sink):
+    """ONCE freezes its SQL++ state where no other plan can match it: a
+    later snapshot of the same store, and a per-batch plan over it, read
+    the component's files, not the static job's in-memory copy."""
+    DecoupledPipeline(
+        spark, udfs.SAFETY_RATING, {"safety_ratings": ratings_store}, sink,
+        refresh=ONCE,
+    ).job().deploy()
+    snap = ratings_store.snapshot(spark)
+    batch = spark.createDataFrame(synth_data.tweets_pdf(20, seed=7))
+    q1 = udfs.SAFETY_RATING.transform(spark, batch, {"safety_ratings": snap})
+    for df in (snap, q1):
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        assert "InMemoryTableScan" not in plan, plan
+        assert "FileScan parquet" in plan, plan
 
 
 def test_static_sqlpp_state_is_stale(spark, ratings_store, sink, ref_pdfs):

@@ -68,6 +68,15 @@ def test_newest_wins_across_multiple_upserts(spark, tmp_path, base_pdf):
     assert got.loc[got["k"] == "a", "val"].item() == "z"
 
 
+def test_memory_only_store_merges_newest_wins(spark, tmp_path):
+    """Upserts into a store with no disk component are merged too."""
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    store.upsert(pd.DataFrame({"k": ["a", "b"], "val": ["1", "2"]}))
+    store.upsert(pd.DataFrame({"k": ["a"], "val": ["1x"]}))
+    got = _snap(store, spark)
+    assert list(got["k"]) == ["a", "b"] and list(got["val"]) == ["1x", "2"]
+
+
 def test_memory_component_activation(spark, tmp_path, base_pdf):
     """§ 7.3's mechanism: any update activates the in-memory component."""
     store = LsmStore(str(tmp_path / "s"), key="k")

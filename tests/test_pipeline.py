@@ -158,3 +158,37 @@ def test_benchmark_probes_stamp_every_batch(spark, tmp_path, ratings_store,
     assert sorted(rec.parse_start) == sorted(rec.push_end) == [0, 1, 2]
     invoked = {s[5] for s in rec.spans if s[1] == probes.PREDEPLOY_INVOKE}
     assert invoked == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "udf", [udfs.SAFETY_RATING, java_udfs.SafetyRatingJava()],
+    ids=["sqlpp", "java"],
+)
+def test_benchmark_store_contract(spark, tmp_path, ratings_store, ref_pdfs,
+                                  monkeypatch, udf):
+    """ingest_bench/load.py keeps the update schedule, and records each
+    batch's buffered upserts, only by wrapping ``LsmStore.snapshot``: the
+    computing job must call it exactly once per batch, Java UDFs included
+    (through ``snapshot_pdf``)."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "ingest_bench"))
+    probes = importlib.import_module("probes")
+    load = importlib.import_module("load")
+    frames = [serialize(synth_data.tweets_pdf(20, seed=7, start_id=20 * i))
+              for i in range(3)]
+    ref = ref_pdfs["safety_ratings"]
+    schedule = [ref.iloc[[i]].assign(safety_rating="Z") for i in range(3)]
+    rec = probes.Recorder(spark, traced=range(3))
+    client = load.UpdateClient(rec, ratings_store, schedule)
+    load.watch_store(rec, ratings_store, client)
+    p = DecoupledPipeline(spark, udf, {"safety_ratings": ratings_store},
+                          _sink(spark, tmp_path))
+    client.start()
+    try:
+        with probes.instrumented(rec, frames):
+            assert p.run(60, batch_size=20).batches_stored == 3
+    finally:
+        client.stop()
+    assert rec.buffered == {0: 0, 1: 1, 2: 2}
+    snapshots = [s[5] for s in rec.spans if s[1] == "lsm_store.snapshot"]
+    assert sorted(b for b in snapshots if b >= 0) == [0, 1, 2]
