@@ -6,7 +6,8 @@ Run: ``python jobs/tables.py T24 T25 T27 ... T31|all [--quick]``, or the
 same arguments through ``spark-submit jobs/tables.py``. T24 writes
 T24a/b/c and T25 also writes T26. The simulated tables (T24b, T28, T30,
 T31) share one calibration measured in this process; a full (not
-``--quick``) run records its constants in ``results/calibration.json``.
+``--quick``) run of all four records its constants in
+``results/calibration.json``.
 """
 import argparse
 import os
@@ -31,6 +32,8 @@ TABLES = {
     "T30": lambda spark, cal, quick: t30_speedup.tables(cal),
     "T31": lambda spark, cal, quick: t31_scaleout.tables(cal),
 }
+#: The tables simulated from the calibration (T24 through T24b).
+SIMULATED = {"T24", "T28", "T30", "T31"}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -66,7 +69,8 @@ def main() -> None:
     spark = get_spark("tables")
     try:
         cal = run_tables(spark, ids, quick=args.quick)
-        if not args.quick:
+        # a subset would overwrite the fits the other tables came from
+        if not args.quick and SIMULATED <= set(ids):
             cal.save(os.path.join(common.results_dir(), "calibration.json"))
     finally:
         spark.stop()

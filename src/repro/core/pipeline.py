@@ -78,13 +78,12 @@ class DecoupledPipeline:
 
     def __init__(self, spark: SparkSession, udf, stores: dict,
                  sink: StorageSink, *, holder_capacity: int = 8,
-                 seed: int = 7, refresh: str = PER_BATCH):
+                 refresh: str = PER_BATCH):
         self.spark = spark
         self.udf = udf          # EnrichmentUdf (SQL++), JavaUdf, or None
         self.stores = stores
         self.sink = sink
         self.holder_capacity = holder_capacity
-        self.seed = seed
         self.refresh = refresh
 
     def job(self) -> PredeployedJob:
@@ -96,7 +95,7 @@ class DecoupledPipeline:
         )
 
     def run(self, n_records: int, batch_size: int = BATCH_1X) -> IngestReport:
-        adapter = TweetAdapter(seed=self.seed)
+        adapter = TweetAdapter(seed=7)
         parser = TweetParser()
 
         # predeploy the computing job before the feed starts (§ 6.1)

@@ -8,7 +8,10 @@ activates the in-memory component, adding merge/locking cost to every
 reference-data read, which is why throughput drops the moment updates
 start and degrades as the rate grows.
 
-This store reproduces that mechanism honestly rather than modelling it:
+This store reproduces that mechanism honestly rather than modelling it.
+Recency is a component's position (oldest disk component first, memory
+newest); each component, as written or read, holds a key once, so rows
+carry no version.
 
 * ``bulk_load`` writes an immutable on-disk component (parquet). A
   component never changes once written, so the store builds its read
@@ -17,14 +20,13 @@ This store reproduces that mechanism honestly rather than modelling it:
   them still reads the files (nothing is cached);
 * ``upsert`` appends to the in-memory component (thread-safe — the
   update feeder runs concurrently with computing jobs);
-* ``snapshot`` returns the merged view **as of now**. With one disk
-  component and an empty memory component it is that component's kept
-  scan; otherwise it must union the components and deduplicate by key
-  keeping the newest version — real extra work per computing job,
-  growing with the number of buffered updates. The snapshot keeps the
-  partitioning its plan gives (a scan is 1–2 partitions); the UDFs' hash
-  joins broadcast it or a per-key table built from it
-  (``repro.enrich.udfs``);
+* ``snapshot`` returns the merged records **as of now**: one part (a
+  disk component, or only buffered upserts) as is, more by a union that
+  keeps each key's row from the newest component — real extra work per
+  computing job, growing with the number of buffered updates. The
+  snapshot keeps the partitioning its plan gives (a scan is 1–2
+  partitions); the UDFs' hash joins broadcast it or a per-key table
+  built from it (``repro.enrich.udfs``);
 * ``flush`` migrates the memory component to a new disk component
   (LSM flush), resetting read amplification.
 
@@ -60,13 +62,7 @@ class _DiskComponent:
 
     @functools.cached_property
     def scan(self) -> DataFrame:
-        """All columns, the ``_v`` version stamp included."""
         return self._spark.read.schema(self._schema).parquet(self._path)
-
-    @functools.cached_property
-    def view(self) -> DataFrame:
-        """The records as readers see them: ``scan`` without ``_v``."""
-        return self.scan.drop("_v")
 
 
 class LsmStore:
@@ -78,7 +74,6 @@ class LsmStore:
         self._lock = threading.Lock()
         self._mem: list = []          # list[pd.DataFrame], in arrival order
         self._disk: list = []         # _DiskComponent, oldest first
-        self._seq = itertools.count() # version stamp for newest-wins merge
         self._component_id = itertools.count()
         os.makedirs(path, exist_ok=True)
 
@@ -88,19 +83,25 @@ class LsmStore:
         """Initial load into an immutable on-disk component."""
         if pdf[self.key].duplicated().any():
             raise ValueError(f"duplicate primary key in bulk load of {self.path}")
-        self._write_component(spark, pdf.assign(_v=next(self._seq)))
+        self.flush(spark)  # the new component is newer than buffered upserts
+        self._write_component(spark, pdf)
 
     def upsert(self, pdf: pd.DataFrame) -> None:
         """Insert-or-replace by primary key into the memory component."""
         with self._lock:
-            self._mem.append(pdf.assign(_v=next(self._seq)))
+            self._mem.append(pdf)
 
     def flush(self, spark: SparkSession) -> None:
         """LSM flush: memory component becomes a new disk component."""
         with self._lock:
             mem, self._mem = self._mem, []
         if mem:
-            self._write_component(spark, pd.concat(mem, ignore_index=True))
+            self._write_component(spark, self._newest(mem))
+
+    def _newest(self, mem: list) -> pd.DataFrame:
+        """The memory component with each key once: its last upsert."""
+        return pd.concat(mem, ignore_index=True).drop_duplicates(
+            self.key, keep="last", ignore_index=True)
 
     def _write_component(self, spark: SparkSession, pdf: pd.DataFrame) -> None:
         comp = os.path.join(self.path, f"component-{next(self._component_id):05d}")
@@ -116,27 +117,27 @@ class LsmStore:
             return sum(len(m) for m in self._mem)
 
     def snapshot(self, spark: SparkSession) -> DataFrame:
-        """Merged, deduplicated view of all components as of this call.
+        """Merged, deduplicated records of all components as of this call.
 
-        One disk component and no buffered upserts: that component's kept
-        view, at plain scan cost. Anything more pays the newest-wins merge
-        (window over ``_v``) on every read, which is the paper's § 7.3
-        effect.
+        One part (a lone disk component's kept scan, or only buffered
+        upserts) is returned as is. More pay the newest-wins merge (a
+        window over the component's position) on every read, which is
+        the paper's § 7.3 effect.
         """
         with self._lock:
             mem = list(self._mem)
             disk = list(self._disk)
         if not disk and not mem:
             raise RuntimeError(f"store {self.path} is empty — bulk_load first")
-        if len(disk) == 1 and not mem:
-            return disk[0].view
         parts = [c.scan for c in disk]
         if mem:
-            parts.append(spark.createDataFrame(pd.concat(mem, ignore_index=True)))
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = merged.unionByName(p)
-        w = Window.partitionBy(self.key).orderBy(F.col("_v").desc())
+            parts.append(spark.createDataFrame(self._newest(mem)))
+        if len(parts) == 1:
+            return parts[0]
+        merged = functools.reduce(lambda a, b: a.unionByName(b), (
+            p.withColumn("_component", F.lit(i)) for i, p in enumerate(parts)
+        ))
+        w = Window.partitionBy(self.key).orderBy(F.col("_component").desc())
         # No fixed output width: the UDFs broadcast the snapshot (or a
         # per-key table built from it) into their hash joins, so join
         # width does not depend on whether the scan (1–2 partitions) or
@@ -145,11 +146,11 @@ class LsmStore:
         return (
             merged.withColumn("_rank", F.row_number().over(w))
             .where(F.col("_rank") == 1)
-            .drop("_rank", "_v")
+            .drop("_rank", "_component")
         )
 
     def snapshot_pdf(self, spark: SparkSession) -> pd.DataFrame:
-        """Pandas view of :meth:`snapshot` — the Java-UDF resource-file path.
+        """Pandas copy of :meth:`snapshot` — the Java-UDF resource-file path.
 
         It goes through :meth:`snapshot`, so whatever wraps that sees every
         read of the store (``ingest_bench/load.watch_store`` does)."""

@@ -105,16 +105,22 @@ def test_t31_quick(quick_cal):
     assert (df["nearby_monuments"] > 0).all()
 
 
-def test_runner_calibrates_once_per_process(spark, tmp_path, monkeypatch):
-    """Quick T24 + T28 + T30 through ``jobs/tables.py`` write every table,
-    measure the machine once and each UDF once, though T28's UDFs are
-    also T30's."""
+def _load_runner(monkeypatch):
+    """``jobs/tables.py`` as a module."""
     spec = importlib.util.spec_from_file_location(
         "tables_runner", os.path.join(JOBS_DIR, "tables.py")
     )
     runner = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the runner adds jobs/
     spec.loader.exec_module(runner)
+    return runner
+
+
+def test_runner_calibrates_once_per_process(spark, tmp_path, monkeypatch):
+    """Quick T24 + T28 + T30 through ``jobs/tables.py`` write every table,
+    measure the machine once and each UDF once, though T28's UDFs are
+    also T30's."""
+    runner = _load_runner(monkeypatch)
     monkeypatch.setattr(common, "results_dir", lambda: str(tmp_path))
     calls = {"machine": 0, "udfs": []}
     measure_machine = calibrate.calibrate_machine
@@ -149,6 +155,38 @@ def test_runner_calibrates_once_per_process(spark, tmp_path, monkeypatch):
         saved = json.load(f)
     assert saved["machine"] == dataclasses.asdict(cal.machine)
     assert set(saved["udfs"]) == set(cal.udfs)
+
+
+def test_runner_saves_calibration_only_for_every_simulated_table(
+        tmp_path, monkeypatch):
+    """A full run of a subset of the simulated tables leaves
+    ``calibration.json`` as it was; a run of all of them rewrites it.
+    Harnesses, session and machine fit are fakes: no Spark runs."""
+    runner = _load_runner(monkeypatch)
+    machine = calibrate.Calibration(1e-6, 2e-6, 0.01)
+
+    class FakeSpark:
+        def stop(self):
+            pass
+
+    def harness(spark, cal, quick):
+        cal.machine  # every simulated table reads the machine constants
+        return []
+
+    monkeypatch.setattr(runner, "get_spark", lambda app: FakeSpark())
+    monkeypatch.setattr(runner, "TABLES", dict.fromkeys(runner.TABLES, harness))
+    monkeypatch.setattr(calibrate, "calibrate_machine", lambda spark: machine)
+    monkeypatch.setattr(common, "results_dir", lambda: str(tmp_path))
+    saved = tmp_path / "calibration.json"
+    saved.write_text('{"udfs": {"safety_rating": {}}}')
+    for subset in (["T24"], ["T28", "T30"], ["T24", "T28", "T30"], ["T31"]):
+        monkeypatch.setattr(sys, "argv", ["tables.py", *subset])
+        runner.main()
+        assert saved.read_text() == '{"udfs": {"safety_rating": {}}}', subset
+    monkeypatch.setattr(sys, "argv", ["tables.py", "T31", "T24", "T30", "T28"])
+    runner.main()
+    assert json.loads(saved.read_text()) == {
+        "machine": dataclasses.asdict(machine), "udfs": {}}
 
 
 def test_workbench_builds_and_closes(spark):

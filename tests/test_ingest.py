@@ -14,15 +14,7 @@ from repro import synth_data
 from repro.core.pipeline import DecoupledPipeline, IngestReport
 from repro.core.predeploy import ONCE, PER_BATCH, PredeployedJob
 from repro.enrich import java_udfs, udfs
-from repro.storage.lsm_store import LsmStore
 from repro.storage.sink import StorageSink
-
-
-@pytest.fixture()
-def ratings_store(spark, tmp_path, ref_pdfs):
-    store = LsmStore(str(tmp_path / "ratings"), key="country_code")
-    store.bulk_load(spark, ref_pdfs["safety_ratings"])
-    return store
 
 
 @pytest.fixture()

@@ -1,7 +1,10 @@
 """LSM reference store: component life-cycle and merge semantics."""
+import glob
 import itertools
+import os
 
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -136,16 +139,16 @@ def test_build_stores(spark, tmp_path):
 
 
 def test_store_matches_dict_model(spark, tmp_path):
-    """Under any sequence of bulk load, upsert (new and overwritten keys),
-    flush and snapshot, both read paths equal a plain dict with
-    newest-wins semantics. Flushed components are read with the schema
-    the store wrote them with, and more than one component takes the
-    merge path."""
+    """Under any sequence of bulk load, upsert (new and overwritten keys,
+    and frames that repeat a key, whose later row wins), flush and
+    snapshot, both read paths equal a plain dict with newest-wins
+    semantics. Flushed components are read with the schema the store
+    wrote them with, hold exactly the dataset's columns, and more than
+    one component takes the merge path."""
     dirs = itertools.count()
     keys = st.sampled_from("abcdefgh")
-    rows = st.dictionaries(keys, st.tuples(st.text("xyz", max_size=3),
-                                           st.integers(-5, 5)),
-                           min_size=1, max_size=4)
+    values = st.tuples(st.text("xyz", max_size=3), st.integers(-5, 5))
+    rows = st.dictionaries(keys, values, min_size=1, max_size=4)
 
     def frame(d: dict) -> pd.DataFrame:
         return pd.DataFrame({"k": list(d), "val": [v for v, _ in d.values()],
@@ -169,10 +172,24 @@ def test_store_matches_dict_model(spark, tmp_path):
             self.store.upsert(frame(d))
             self.model.update(d)
 
+        @rule(d=rows, later=values, then_flush=st.booleans())
+        def upsert_repeating_a_key(self, d, later, then_flush):
+            k = next(iter(d))
+            self.store.upsert(pd.concat([frame(d), frame({k: later})],
+                                        ignore_index=True))
+            self.model.update(d)
+            self.model[k] = later
+            self.snapshot(as_pandas=False)
+            if then_flush:
+                self.flush()
+                self.snapshot(as_pandas=False)
+
         @rule()
         def flush(self):
             self.store.flush(spark)
             assert self.store.buffered_updates == 0
+            for comp in glob.glob(os.path.join(self.store.path, "component-*")):
+                assert pq.ParquetDataset(comp).schema.names == ["k", "val", "n"]
 
         @rule(as_pandas=st.booleans())
         def snapshot(self, as_pandas):

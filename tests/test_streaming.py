@@ -6,15 +6,7 @@ from pyspark.errors import StreamingQueryException
 
 from repro.core import streaming
 from repro.enrich import udfs
-from repro.storage.lsm_store import LsmStore
 from repro.storage.sink import StorageSink
-
-
-@pytest.fixture()
-def ratings_store(spark, tmp_path, ref_pdfs):
-    store = LsmStore(str(tmp_path / "ratings"), key="country_code")
-    store.bulk_load(spark, ref_pdfs["safety_ratings"])
-    return store
 
 
 def test_write_feed_files(tmp_path):
