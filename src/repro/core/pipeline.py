@@ -47,7 +47,6 @@ class IngestReport:
     """Outcome of one feed run: the quantities behind Figs 24–29."""
 
     n_records: int
-    batch_size: int
     elapsed_s: float
     batch_times: list = field(default_factory=list)  # per computing job
     setup_s: float = 0.0          # the computing job's deploy() time
@@ -150,6 +149,6 @@ class DecoupledPipeline:
             raise RuntimeError("intake job failed") from intake_error[0]
 
         return IngestReport(
-            n_records, batch_size, elapsed, times, setup_s=setup_s,
+            n_records, elapsed, times, setup_s=setup_s,
             batches_stored=storage_holder.forwarded,
         )

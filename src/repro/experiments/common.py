@@ -39,11 +39,9 @@ BATCH_SIZES = {
 class Workbench:
     """Reference stores + a fresh sink over a temp directory."""
 
-    def __init__(self, spark: SparkSession, ref_names, *, ref_scale: float,
-                 base_dir: str | None = None):
+    def __init__(self, spark: SparkSession, ref_names, *, ref_scale: float):
         self.spark = spark
-        self._own_dir = base_dir is None
-        self.base_dir = base_dir or tempfile.mkdtemp(prefix="repro-bench-")
+        self.base_dir = tempfile.mkdtemp(prefix="repro-bench-")
         self.ref_pdfs = synth_data.make_ref_pdfs(
             ref_names, ref_scale,
             district_scale=synth_data.BENCH_DISTRICT_REF_SCALE
@@ -66,8 +64,7 @@ class Workbench:
         )
 
     def close(self) -> None:
-        if self._own_dir:
-            shutil.rmtree(self.base_dir, ignore_errors=True)
+        shutil.rmtree(self.base_dir, ignore_errors=True)
 
 
 def refs_of(udf_names) -> tuple:

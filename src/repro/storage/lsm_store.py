@@ -92,11 +92,15 @@ class LsmStore:
             self._mem.append(pdf)
 
     def flush(self, spark: SparkSession) -> None:
-        """LSM flush: memory component becomes a new disk component."""
+        """LSM flush: memory component becomes a new disk component.
+
+        The lock is held until the disk component is appended, so a
+        snapshot taken meanwhile waits and then reads it, rather than
+        missing the upserts in flight."""
         with self._lock:
-            mem, self._mem = self._mem, []
-        if mem:
-            self._write_component(spark, self._newest(mem))
+            if self._mem:
+                self._write_component(spark, self._newest(self._mem))
+                self._mem = []
 
     def _newest(self, mem: list) -> pd.DataFrame:
         """The memory component with each key once: its last upsert."""

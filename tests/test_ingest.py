@@ -182,14 +182,14 @@ def test_no_udf_passthrough(spark, ratings_store, sink):
 
 
 def test_report_math():
-    r = IngestReport(100, 10, 2.0, [0.5, 0.5, 1.0])
+    r = IngestReport(100, 2.0, [0.5, 0.5, 1.0])
     assert r.throughput == 50.0
     assert r.refresh_period_s == pytest.approx(2.0 / 3)
     assert r.refresh_rate == 1.5
 
 
 def test_report_zero_elapsed_safe():
-    r = IngestReport(0, 10, 0.0, [])
+    r = IngestReport(0, 0.0, [])
     assert r.throughput == 0.0
     assert r.refresh_period_s == 0.0
     assert r.refresh_rate == 0.0

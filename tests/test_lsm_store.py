@@ -2,6 +2,7 @@
 import glob
 import itertools
 import os
+import threading
 
 import pandas as pd
 import pyarrow.parquet as pq
@@ -104,6 +105,36 @@ def test_flush_empty_memory_is_noop(spark, tmp_path, base_pdf):
     store.bulk_load(spark, base_pdf)
     store.flush(spark)
     pd.testing.assert_frame_equal(_snap(store, spark), base_pdf)
+
+
+def test_snapshot_during_flush_sees_the_flushing_rows(spark, tmp_path,
+                                                     monkeypatch):
+    """A snapshot taken while a flush writes its component must not miss
+    the upserts being flushed: it waits for the component, then reads it."""
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    store.bulk_load(spark, pd.DataFrame({"k": ["a"], "val": ["1"]}))
+    store.upsert(pd.DataFrame({"k": ["a"], "val": ["2"]}))
+    writing, release = threading.Event(), threading.Event()
+    write = store._write_component
+
+    def held_open(spark, pdf):
+        writing.set()
+        release.wait(timeout=60)
+        write(spark, pdf)
+
+    monkeypatch.setattr(store, "_write_component", held_open)
+    flusher = threading.Thread(target=store.flush, args=(spark,))
+    flusher.start()
+    assert writing.wait(timeout=60)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(_snap(store, spark)))
+    reader.start()
+    reader.join(timeout=1.0)  # let the snapshot start inside the write
+    release.set()
+    flusher.join(timeout=60)
+    reader.join(timeout=60)
+    assert got[0]["val"].tolist() == ["2"]
+    assert store.buffered_updates == 0
 
 
 def test_snapshot_is_point_in_time(spark, tmp_path, base_pdf):

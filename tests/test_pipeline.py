@@ -1,6 +1,7 @@
 """Decoupled pipeline: intake/compute/storage layering end-to-end."""
 import dataclasses
 import importlib
+import json
 import threading
 import time
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro import synth_data
+from repro.core import feed, pipeline
 from repro.core.feed import serialize
 from repro.core.pipeline import TAKE_TIMEOUT_S, DecoupledPipeline
 from repro.enrich import java_udfs, udfs
@@ -27,16 +29,21 @@ def test_pipeline_no_udf_moves_all_records(spark, tmp_path):
     assert ids == list(range(100))
 
 
-def test_pipeline_with_sqlpp_udf(spark, tmp_path, ratings_store):
+def test_pipeline_with_sqlpp_udf(spark, tmp_path, ratings_store, ref_pdfs):
     sink = _sink(spark, tmp_path)
     p = DecoupledPipeline(
         spark, udfs.SAFETY_RATING, {"safety_ratings": ratings_store}, sink
     )
     assert p.run(60, batch_size=20).batches_stored == 3
-    back = sink.read().toPandas()
+    back = sink.read().toPandas().sort_values("id").reset_index(drop=True)
     assert len(back) == 60
+    assert list(back["id"]) == list(range(60))
     assert "safety_rating" in back.columns
     assert (back["safety_rating"] != "").all()
+    # every stored rating is the reference data's
+    ref = ref_pdfs["safety_ratings"]
+    ratings = dict(zip(ref["country_code"], ref["safety_rating"]))
+    assert (back["safety_rating"] == back["country"].map(ratings)).all()
 
 
 def test_pipeline_with_java_udf(spark, tmp_path, ratings_store):
@@ -124,6 +131,31 @@ def test_pipeline_sink_failure_stops_every_layer(spark, tmp_path):
         p.run(200, batch_size=10)  # 20 batches through capacity 1
     assert time.perf_counter() - sink.failed_at < TAKE_TIMEOUT_S
     assert _new_layer_threads(before) == []
+
+
+def test_pipeline_parse_failure_stops_every_layer(spark, tmp_path,
+                                                  monkeypatch):
+    class BadThirdFrame(feed.TweetAdapter):
+        """The third frame holds one record without ``country``."""
+
+        def frames(self, n_records, frame_size=feed.BATCH_1X):
+            for i, frame in enumerate(super().frames(n_records, frame_size)):
+                if i == 2:
+                    lines = frame.decode().splitlines()
+                    rec = json.loads(lines[3])
+                    del rec["country"]
+                    lines[3] = json.dumps(rec)
+                    frame = ("\n".join(lines) + "\n").encode()
+                yield frame
+
+    monkeypatch.setattr(pipeline, "TweetAdapter", BadThirdFrame)
+    sink = _sink(spark, tmp_path)
+    p = DecoupledPipeline(spark, None, {}, sink, holder_capacity=1)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="country"):
+        p.run(200, batch_size=20)
+    assert _new_layer_threads(before) == []
+    assert sink.rows_written == 40  # the two frames parsed before it
 
 
 # -- the benchmark's hooks ----------------------------------------------------
