@@ -1,15 +1,19 @@
 import os
 import sys
 
+import pytest
+from pyspark.sql import SparkSession
+
+from repro.spark_session import get_spark
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
     limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    from SparkConf: ``get_spark`` puts this value in PYSPARK_SUBMIT_ARGS
+    before the session fixture launches the JVM.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -38,27 +42,13 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
-
-import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
-
-from repro.spark_session import get_spark  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch); the per-session settings come from
+    Master, driver memory and the per-session settings come from
     ``repro.spark_session``, as for the table runner and the benchmark.
     """
     s = get_spark("repro")

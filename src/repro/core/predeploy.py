@@ -6,10 +6,11 @@ invokes it per batch with the batch as its parameter. Static and dynamic
 enrichment run the same job; they differ only in when it builds its
 enrichment state, which the ``refresh`` policy chooses:
 
-* ``ONCE`` — at ``deploy()`` (stock AsterixDB, Model 3). SQL++ reference
-  snapshots are taken once and materialized into job-private blocks
-  (``localCheckpoint``); a Java UDF runs ``initialize`` once. Reference
-  updates during the feed are never seen.
+* ``ONCE`` — at ``deploy()``: the paper's Static Enrichment w/ Java
+  (stock AsterixDB, Model 3). The Java UDF runs ``initialize`` once, and
+  reference updates during the feed are never seen. Stock AsterixDB
+  cannot run a stateful SQL++ UDF on a feed at all (§ 4.3.4), so a
+  SQL++ UDF, or no UDF, is refused under ``ONCE``.
 * ``PER_BATCH`` — at every ``invoke()`` (the new framework, Model 2). The
   job asks its reference provider for fresh snapshots each time, so a
   batch sees every update applied before its snapshot (footnote 4).
@@ -18,7 +19,7 @@ Spark mapping (DESIGN.md § 2, § 7): classic PySpark analyses the plan
 at every ``transform`` step and re-plans at every action, so there is no
 compiled plan to reuse across batches. ``deploy()`` therefore only
 validates the SQL++ plan against the reference schemas and builds the
-static state.
+static Java state.
 """
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -41,27 +42,22 @@ class PredeployedJob:
         :func:`snapshot_provider`)."""
         if refresh not in (ONCE, PER_BATCH):
             raise ValueError(f"unknown refresh policy {refresh!r}")
+        if refresh == ONCE and (udf is None or isinstance(udf, EnrichmentUdf)):
+            raise ValueError("ONCE is static Java enrichment; it needs a "
+                             "Java UDF")
         self.spark = spark
         self.udf = udf
         self.refresh = refresh
         self._ref_provider = ref_provider
-        self._refs = None       # SQL++ state frozen at deploy (ONCE)
         self.deployed = False
 
     def deploy(self) -> None:
-        """Validate the SQL++ plan and build the static state (ONCE)."""
+        """Validate the SQL++ plan, or build the static Java state (ONCE)."""
         udf = self.udf
         if isinstance(udf, EnrichmentUdf):
-            refs = self._ref_provider()
-            if self.refresh == ONCE:
-                # Frozen now, and private: ``cache()`` would register the
-                # plan with the session's cache manager, which then serves
-                # every later read of the same components from it.
-                refs = {name: df.localCheckpoint() for name, df in refs.items()}
-                self._refs = refs
             probe = self.spark.createDataFrame(_probe_batch())
-            _ = udf.transform(self.spark, probe, refs).schema
-        elif udf is not None and self.refresh == ONCE:
+            _ = udf.transform(self.spark, probe, self._ref_provider()).schema
+        elif self.refresh == ONCE:
             udf.initialize(self._ref_provider())  # resource files, once
         self.deployed = True
 
@@ -73,9 +69,9 @@ class PredeployedJob:
         if udf is None:
             return batch_pdf
         if isinstance(udf, EnrichmentUdf):
-            refs = self._refs if self.refresh == ONCE else self._ref_provider()
             batch_df = self.spark.createDataFrame(batch_pdf)
-            return udf.transform(self.spark, batch_df, refs).toPandas()
+            return udf.transform(self.spark, batch_df,
+                                 self._ref_provider()).toPandas()
         if self.refresh == PER_BATCH:
             # the per-batch state rebuild the paper measures in § 7.2
             udf.initialize(self._ref_provider())

@@ -2,13 +2,13 @@
 
 Paper: 10M tweets over 1–24 nodes; Static vs Dynamic (1X/4X/16X) vs
 Balanced Static vs Balanced Dynamic; refresh rates 68/27/10 jobs/s at 24
-nodes for 1X/4X/16X. Reproduction: one *measured* local row per
-framework (a real feed through the one feed driver), whose dynamic runs
-also give the measured refresh rates, plus the calibrated
-cluster-size sweep on :class:`SimulatedCluster` (DESIGN.md § 4). With no
-UDF the computing job has no state, so the measured static row runs the
-same code as dynamic 16X; Fig 24's static/dynamic contrast lives in the
-simulated sweep, where intake and parse placement differ.
+nodes for 1X/4X/16X. Reproduction: one *measured* local dynamic feed per
+batch size (a real feed through the one feed driver), which also gives
+the measured refresh rates, plus the calibrated cluster-size sweep on
+:class:`SimulatedCluster` (DESIGN.md § 4). With no UDF the computing job
+has no state to freeze, so there is no measured static row; Fig 24's
+static/dynamic contrast lives in the simulated sweep, where intake and
+parse placement differ.
 """
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -16,7 +16,6 @@ from pyspark.sql import SparkSession
 from repro.cluster.calibrate import Calibration, RunCalibration
 from repro.cluster.simulator import SimulatedCluster
 from repro.core.pipeline import DecoupledPipeline
-from repro.core.predeploy import ONCE
 from repro.experiments.common import (
     BATCH_SIZES, N_TWEETS_BASIC, Table, Workbench,
 )
@@ -28,7 +27,8 @@ def tables(spark: SparkSession, cal: RunCalibration, *,
            quick: bool = False) -> list:
     measured = run_measured(spark, quick=quick)
     return [
-        Table("t24_measured", "T24a — measured local throughput (no UDF)",
+        Table("t24_measured",
+              "T24a — measured local dynamic throughput (no UDF)",
               measured.drop(columns="refresh_rate_jobs_s")),
         Table("t24_simulated", "T24b — simulated cluster sweep (rec/s)",
               run_simulated(cal.machine)),
@@ -40,41 +40,31 @@ def tables(spark: SparkSession, cal: RunCalibration, *,
 
 
 def run_measured(spark: SparkSession, *, quick: bool = False) -> pd.DataFrame:
-    """Local single-machine throughput and refresh rate of the feed driver
-    (no UDF)."""
+    """Local single-machine throughput and refresh rate of the dynamic feed
+    driver per batch size (no UDF)."""
     n = 4_000 if quick else N_TWEETS_BASIC
     wb = Workbench(spark, (), ref_scale=0.1)
     rows = []
     try:
-        rep = DecoupledPipeline(
-            spark, None, {}, wb.fresh_sink(), refresh=ONCE
-        ).run(n, batch_size=BATCH_SIZES["16X"])
-        rows.append(_row("static", "16X", rep))
         for label, bs in BATCH_SIZES.items():
             rep = DecoupledPipeline(spark, None, {}, wb.fresh_sink()).run(
                 n, batch_size=bs
             )
-            rows.append(_row("dynamic", label, rep))
+            rows.append({
+                "batch": label,
+                "throughput_rec_s": rep.throughput,
+                "refresh_rate_jobs_s": rep.refresh_rate,
+            })
     finally:
         wb.close()
     return pd.DataFrame(rows)
 
 
-def _row(framework, batch, rep):
-    return {
-        "framework": framework,
-        "batch": batch,
-        "throughput_rec_s": rep.throughput,
-        "refresh_rate_jobs_s": rep.refresh_rate,
-    }
-
-
 def refresh_rates(measured: pd.DataFrame) -> pd.DataFrame:
-    """T24c view of the dynamic T24a runs: computing jobs per second (§ 7.1;
-    the paper's 68 / 27 / 10 for 1X / 4X / 16X were measured at 24 nodes,
+    """T24c view of the T24a runs: computing jobs per second (§ 7.1; the
+    paper's 68 / 27 / 10 for 1X / 4X / 16X were measured at 24 nodes,
     these on this machine)."""
-    d = measured[measured["framework"] == "dynamic"]
-    return d[["batch", "refresh_rate_jobs_s"]].reset_index(drop=True)
+    return measured[["batch", "refresh_rate_jobs_s"]]
 
 
 def run_simulated(machine: Calibration) -> pd.DataFrame:

@@ -1,9 +1,10 @@
-"""The one definition of the per-session Spark settings, shared by the
-test fixture, ``jobs/tables.py`` and ``ingest_bench/run.py``.
+"""The one definition of the local Spark session, shared by the test
+fixture, ``jobs/tables.py`` and ``ingest_bench/run.py``.
 
-Master and driver memory are read at JVM launch from
-``PYSPARK_SUBMIT_ARGS``, which each entry point sets before pyspark is
-imported; the settings here are the ones a session honours after launch.
+Master and driver memory are read when pyspark launches the JVM, from
+``PYSPARK_SUBMIT_ARGS``, whose default ``get_spark`` sets before it
+builds the session. The builder settings are the ones a session honours
+after launch.
 """
 import os
 
@@ -15,8 +16,17 @@ def get_spark(app: str) -> SparkSession:
 
     Broadcast joins are off by threshold so that joins take the shuffle
     path at small scale; a plan that wants a broadcast join asks for it
-    with a hint (DESIGN.md § 7).
+    with a hint (DESIGN.md § 7). When launched via spark-submit the
+    submit arguments win over ``PYSPARK_SUBMIT_ARGS``.
     """
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false "
+        "pyspark-shell",
+    )
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))

@@ -43,7 +43,7 @@ def t24_measured(spark):
 
 
 def test_t24_refresh_rates_ordering(t24_measured):
-    # T24c is a view of the dynamic runs: bigger batches, fewer jobs/s
+    # T24c is a view of the T24a runs: bigger batches, fewer jobs/s
     df = t24_basic.refresh_rates(t24_measured)
     r = dict(zip(df["batch"], df["refresh_rate_jobs_s"]))
     assert r["1X"] > r["4X"] > r["16X"] > 0
@@ -52,10 +52,7 @@ def test_t24_refresh_rates_ordering(t24_measured):
 def test_t24_measured_quick(t24_measured):
     df = t24_measured
     assert (df["throughput_rec_s"] > 0).all()
-    assert list(zip(df["framework"], df["batch"])) == [
-        ("static", "16X"), ("dynamic", "1X"), ("dynamic", "4X"),
-        ("dynamic", "16X"),
-    ]
+    assert list(df["batch"]) == ["1X", "4X", "16X"]
 
 
 def test_t25_quick_single_udf(spark):
