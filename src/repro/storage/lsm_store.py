@@ -13,11 +13,13 @@ Recency is a component's position (oldest disk component first, memory
 newest); each component, as written or read, holds a key once, so rows
 carry no version.
 
-* ``bulk_load`` writes an immutable on-disk component (parquet). A
-  component never changes once written, so the store builds its read
-  once, at the first snapshot, with the schema it wrote: later reads
-  list no files, infer nothing and re-plan nothing, but every action on
-  them still reads the files (nothing is cached);
+* ``bulk_load`` writes an immutable on-disk component: one parquet file,
+  written by pyarrow on the driver, as AsterixDB writes components
+  through its storage layer rather than through a query job. A
+  component never changes once written, so the store builds its Spark
+  read once, at the first snapshot, with the schema it wrote: later
+  reads list no files, infer nothing and re-plan nothing, but every
+  action on them still reads the files (nothing is cached);
 * ``upsert`` appends to the in-memory component (thread-safe — the
   update feeder runs concurrently with computing jobs);
 * ``snapshot`` returns the merged records **as of now**: one part (a
@@ -27,6 +29,10 @@ carry no version.
   snapshot keeps the partitioning its plan gives (a scan is 1–2
   partitions); the UDFs' hash joins broadcast it or a per-key table
   built from it (``repro.enrich.udfs``);
+* ``snapshot_pdf`` is the same read for a Java UDF's resource files.
+  It takes its snapshot through ``snapshot`` and reads the components
+  that snapshot took with pyarrow, so it runs no Spark job; every call
+  re-reads the files;
 * ``flush`` migrates the memory component to a new disk component
   (LSM flush), resetting read amplification.
 
@@ -40,18 +46,22 @@ import os
 import threading
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import from_arrow_schema
 from pyspark.sql.types import StructType
 from pyspark.sql.window import Window
 
 
 class _DiskComponent:
-    """An immutable parquet component and its read, planned once.
+    """An immutable one-file parquet component and its reads.
 
-    The read is built at first use, not at write time, so a bulk load
-    lists no files; after that every snapshot reuses it, and each action
-    on it still scans the files.
+    The Spark read is planned at first use, not at write time, so a bulk
+    load lists no files; after that every snapshot reuses it, and each
+    action on it still scans the files. ``read_pdf`` reads the file
+    again on every call.
     """
 
     def __init__(self, spark: SparkSession, path: str, schema: StructType):
@@ -64,6 +74,11 @@ class _DiskComponent:
     def scan(self) -> DataFrame:
         return self._spark.read.schema(self._schema).parquet(self._path)
 
+    def read_pdf(self) -> pd.DataFrame:
+        # nanoseconds, as Spark's toPandas gives and as upserts arrive
+        return pq.read_table(os.path.join(self._path, "part-0.parquet")
+                             ).to_pandas(coerce_temporal_nanoseconds=True)
+
 
 class LsmStore:
     """One dataset: parquet disk components + a pandas memory component."""
@@ -75,6 +90,7 @@ class LsmStore:
         self._mem: list = []          # list[pd.DataFrame], in arrival order
         self._disk: list = []         # _DiskComponent, oldest first
         self._component_id = itertools.count()
+        self._taken = threading.local()  # each thread's last snapshot parts
         os.makedirs(path, exist_ok=True)
 
     # -- write path -----------------------------------------------------------
@@ -102,16 +118,22 @@ class LsmStore:
                 self._write_component(spark, self._newest(self._mem))
                 self._mem = []
 
-    def _newest(self, mem: list) -> pd.DataFrame:
-        """The memory component with each key once: its last upsert."""
-        return pd.concat(mem, ignore_index=True).drop_duplicates(
+    def _newest(self, parts: list) -> pd.DataFrame:
+        """``parts`` (oldest first) merged with each key once: its row from
+        the newest part, as the memory component keeps the last upsert."""
+        return pd.concat(parts, ignore_index=True).drop_duplicates(
             self.key, keep="last", ignore_index=True)
 
     def _write_component(self, spark: SparkSession, pdf: pd.DataFrame) -> None:
         comp = os.path.join(self.path, f"component-{next(self._component_id):05d}")
-        sdf = spark.createDataFrame(pdf)
-        sdf.write.mode("overwrite").parquet(comp)
-        self._disk.append(_DiskComponent(spark, comp, sdf.schema))
+        os.makedirs(comp, exist_ok=True)
+        table = pa.Table.from_pandas(pdf, preserve_index=False)
+        # Spark's parquet reader rejects nanosecond timestamps
+        pq.write_table(table, os.path.join(comp, "part-0.parquet"),
+                       coerce_timestamps="us", allow_truncated_timestamps=True)
+        # the schema spark.createDataFrame(pdf) would give
+        self._disk.append(
+            _DiskComponent(spark, comp, from_arrow_schema(table.schema)))
 
     # -- read path ------------------------------------------------------------
 
@@ -131,6 +153,7 @@ class LsmStore:
         with self._lock:
             mem = list(self._mem)
             disk = list(self._disk)
+        self._taken.parts = disk, mem
         if not disk and not mem:
             raise RuntimeError(f"store {self.path} is empty — bulk_load first")
         parts = [c.scan for c in disk]
@@ -156,9 +179,18 @@ class LsmStore:
     def snapshot_pdf(self, spark: SparkSession) -> pd.DataFrame:
         """Pandas copy of :meth:`snapshot` — the Java-UDF resource-file path.
 
-        It goes through :meth:`snapshot`, so whatever wraps that sees every
-        read of the store (``ingest_bench/load.watch_store`` does)."""
-        return self.snapshot(spark).toPandas()
+        It calls ``snapshot`` once, so whatever wraps that sees and gates
+        every read of the store (``ingest_bench/load.watch_store`` does),
+        and then reads, with pyarrow and no Spark job, exactly the
+        components that call took on this thread. It does not take them
+        again: an upsert that lands after ``snapshot`` returns belongs to
+        the next read. Nothing is cached; every call re-reads the files.
+        """
+        self.snapshot(spark)
+        disk, mem = self._taken.parts
+        if len(disk) == 1 and not mem:
+            return disk[0].read_pdf()
+        return self._newest([*(c.read_pdf() for c in disk), *mem])
 
 
 def build_stores(spark: SparkSession, base_path: str, datasets: dict,

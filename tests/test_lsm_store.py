@@ -2,7 +2,9 @@
 import glob
 import itertools
 import os
+import sys
 import threading
+import time
 
 import pandas as pd
 import pyarrow.parquet as pq
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, rule,
                                  run_state_machine_as_test)
 
+from repro import synth_data
 from repro.storage.lsm_store import LsmStore, build_stores
 
 
@@ -148,6 +151,96 @@ def test_snapshot_is_point_in_time(spark, tmp_path, base_pdf):
     pd.testing.assert_frame_equal(before, base_pdf)
     after = _snap(store, spark)
     assert after.loc[after["k"] == "a", "val"].item() == "NEW"
+
+
+def test_snapshot_pdf_reads_what_its_snapshot_took(spark, tmp_path,
+                                                   base_pdf):
+    """``snapshot_pdf`` reads the components its one ``snapshot`` call took.
+    A wrapper that upserts as soon as the real snapshot returns, as the
+    benchmark's update client does, must not leak that upsert into the
+    same read; the next read sees it."""
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    store.bulk_load(spark, base_pdf)
+    snapshot, sent = store.snapshot, itertools.count(1)
+
+    def then_upsert(spark):
+        df = snapshot(spark)
+        store.upsert(pd.DataFrame({"k": ["a"], "val": [f"v{next(sent)}"]}))
+        return df
+
+    store.snapshot = then_upsert
+    for want in ("1", "v1", "v2"):
+        got = store.snapshot_pdf(spark).sort_values("k")
+        assert got["val"].tolist() == [want, "2", "3"]
+
+
+def test_concurrent_snapshot_pdf_reads_its_own_snapshot(spark, tmp_path,
+                                                        base_pdf):
+    """More readers than cores, each upserting its own key right after its
+    snapshot: every read holds exactly the reader's previous upsert, never
+    the one sent after this read's snapshot (so no reader reads the parts
+    another thread's snapshot took)."""
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    store.bulk_load(spark, base_pdf)
+    snapshot, errors = store.snapshot, []
+    mine = threading.local()
+
+    def then_upsert(spark):
+        df = snapshot(spark)
+        store.upsert(pd.DataFrame({"k": [mine.key], "val": [str(mine.i)]}))
+        time.sleep(0.001)  # let other readers snapshot before this one reads
+        return df
+
+    def reader(t):
+        mine.key = f"t{t}"
+        try:
+            for mine.i in range(8):
+                got = store.snapshot_pdf(spark).set_index("k")["val"]
+                want = str(mine.i - 1) if mine.i else None
+                if got.get(mine.key) != want:
+                    errors.append((t, mine.i, got.get(mine.key)))
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    store.snapshot = then_upsert
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(t,))
+                   for t in range(2 * os.cpu_count())]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("name", sorted(synth_data.REFERENCE_GENERATORS))
+def test_component_reads_match_spark(spark, tmp_path, ref_pdfs, name):
+    """Every reference dataset: a component keeps the Spark schema that
+    ``createDataFrame`` gives its frame (so SQL++ plans see the same
+    types), and ``snapshot_pdf`` equals the Spark snapshot, dtypes
+    included, with and without a buffered upsert."""
+    pdf = ref_pdfs[name]
+    key = synth_data.REFERENCE_GENERATORS[name][1]
+    store = LsmStore(str(tmp_path / name), key=key)
+    store.bulk_load(spark, pdf)
+    assert store.snapshot(spark).schema == spark.createDataFrame(pdf).schema
+
+    def by_key(df):
+        return df.sort_values(key).reset_index(drop=True)
+
+    changed = pdf.iloc[[1]].assign(**{key: pdf[key].iloc[0]})
+    for upsert in (None, changed):
+        if upsert is not None:
+            store.upsert(upsert)
+        pd.testing.assert_frame_equal(
+            by_key(store.snapshot_pdf(spark)),
+            by_key(store.snapshot(spark).toPandas()))
+    assert store.buffered_updates == 1
 
 
 def test_quiescent_store_has_no_version_column(spark, tmp_path, base_pdf):
