@@ -4,12 +4,13 @@ metrics over repeated runs, and one traced run's per-layer metrics.
 
 Run, from anywhere::
 
-    python jobs/bench.py [--runs 5] [--seconds 20] [--out-dir .] [WORKLOAD ...]
+    python jobs/bench.py [--runs 5] [--out-dir .] [WORKLOAD ...]
 
 With no workload named, every workload of ``BENCHMARK.json`` is run. Each
 workload gets ``--runs`` untraced runs of ``ingest_bench/run.py`` (seeds
 1..N) and then one ``--trace 1`` run (seed 1), one after another, so no
-two runs share the cores. The file holds each end-to-end metric's median,
+two runs share the cores; each run lasts ``BENCHMARK.json``'s
+``run_seconds``. The file holds each end-to-end metric's median,
 quartiles and per-run values, the run count, the machine's ``nproc``, the
 git sha the runs report, and the traced run's per-layer medians with the
 sum of the computing-job path's self times. A run that fails its checks
@@ -25,8 +26,6 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "ingest_bench", "run.py")
-#: run.py's default length, as ``BENCHMARK.json`` runs it.
-SECONDS = 20
 
 
 def parse_run(stdout: str) -> dict:
@@ -113,7 +112,6 @@ def main(argv=None) -> None:
     ap.add_argument("workloads", nargs="*", metavar="WORKLOAD")
     ap.add_argument("--runs", type=int, default=5,
                     help="untraced runs per workload (at least 3)")
-    ap.add_argument("--seconds", type=float, default=SECONDS)
     ap.add_argument("--out-dir", default=ROOT)
     args = ap.parse_args(argv)
     if args.runs < 3:
@@ -121,9 +119,9 @@ def main(argv=None) -> None:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
-        runs = [run_once(workload, seed, args.seconds, 0)
+        runs = [run_once(workload, seed, spec["run_seconds"], 0)
                 for seed in range(1, args.runs + 1)]
-        traced = run_once(workload, 1, args.seconds, 1)
+        traced = run_once(workload, 1, spec["run_seconds"], 1)
         out = os.path.join(args.out_dir, f"BENCH_{workload}.json")
         with open(out, "w") as f:
             json.dump(summarize(workload, spec["end_to_end"], runs, traced,

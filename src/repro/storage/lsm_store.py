@@ -15,7 +15,10 @@ carry no version.
 
 * ``bulk_load`` writes an immutable on-disk component: one parquet file,
   written by pyarrow on the driver, as AsterixDB writes components
-  through its storage layer rather than through a query job. A
+  through its storage layer rather than through a query job. Naive
+  timestamps are written as instants in the session time zone, as
+  ``spark.createDataFrame`` reads them, so every reader agrees on them
+  whatever the host's zone. A
   component never changes once written, so the store builds its Spark
   read once, at the first snapshot, with the schema it wrote: later
   reads list no files, infer nothing and re-plan nothing, but every
@@ -48,6 +51,7 @@ import threading
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+from pandas.api.types import is_datetime64_dtype
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.pandas.types import from_arrow_schema
@@ -55,8 +59,33 @@ from pyspark.sql.types import StructType
 from pyspark.sql.window import Window
 
 
+def _session_tz(spark: SparkSession) -> str:
+    return spark.conf.get("spark.sql.session.timeZone")
+
+
+def _as_instants(spark: SparkSession, pdf: pd.DataFrame) -> pd.DataFrame:
+    """Naive timestamp columns read as session-local time, with the
+    daylight-saving choice ``spark.createDataFrame`` makes."""
+    cols = [c for c in pdf.columns if is_datetime64_dtype(pdf[c].dtype)]
+    if not cols:
+        return pdf
+    tz = _session_tz(spark)
+    return pdf.assign(**{c: pdf[c].dt.tz_localize(tz, ambiguous=False)
+                         for c in cols})
+
+
+def _as_wall_clock(spark: SparkSession, pdf: pd.DataFrame) -> pd.DataFrame:
+    """Instants back to naive session-local time, as ``toPandas`` gives."""
+    cols = [c for c in pdf.columns if isinstance(pdf[c].dtype, pd.DatetimeTZDtype)]
+    if not cols:
+        return pdf
+    tz = _session_tz(spark)
+    return pdf.assign(**{c: pdf[c].dt.tz_convert(tz).dt.tz_localize(None)
+                         for c in cols})
+
+
 class _DiskComponent:
-    """An immutable one-file parquet component and its reads.
+    """An immutable parquet file and its reads.
 
     The Spark read is planned at first use, not at write time, so a bulk
     load lists no files; after that every snapshot reuses it, and each
@@ -76,8 +105,8 @@ class _DiskComponent:
 
     def read_pdf(self) -> pd.DataFrame:
         # nanoseconds, as Spark's toPandas gives and as upserts arrive
-        return pq.read_table(os.path.join(self._path, "part-0.parquet")
-                             ).to_pandas(coerce_temporal_nanoseconds=True)
+        return _as_wall_clock(self._spark, pq.read_table(self._path).to_pandas(
+            coerce_temporal_nanoseconds=True))
 
 
 class LsmStore:
@@ -125,12 +154,13 @@ class LsmStore:
             self.key, keep="last", ignore_index=True)
 
     def _write_component(self, spark: SparkSession, pdf: pd.DataFrame) -> None:
-        comp = os.path.join(self.path, f"component-{next(self._component_id):05d}")
-        os.makedirs(comp, exist_ok=True)
-        table = pa.Table.from_pandas(pdf, preserve_index=False)
+        comp = os.path.join(
+            self.path, f"component-{next(self._component_id):05d}.parquet")
+        table = pa.Table.from_pandas(_as_instants(spark, pdf),
+                                     preserve_index=False)
         # Spark's parquet reader rejects nanosecond timestamps
-        pq.write_table(table, os.path.join(comp, "part-0.parquet"),
-                       coerce_timestamps="us", allow_truncated_timestamps=True)
+        pq.write_table(table, comp, coerce_timestamps="us",
+                       allow_truncated_timestamps=True)
         # the schema spark.createDataFrame(pdf) would give
         self._disk.append(
             _DiskComponent(spark, comp, from_arrow_schema(table.schema)))

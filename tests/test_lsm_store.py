@@ -218,12 +218,25 @@ def test_concurrent_snapshot_pdf_reads_its_own_snapshot(spark, tmp_path,
     assert errors == []
 
 
+@pytest.fixture()
+def kolkata(spark):
+    """A session time zone off UTC (+05:30, no daylight saving), so a
+    timestamp read as UTC rather than session-local time shows."""
+    conf = "spark.sql.session.timeZone"
+    was = spark.conf.get(conf)
+    spark.conf.set(conf, "Asia/Kolkata")
+    yield
+    spark.conf.set(conf, was)
+
+
 @pytest.mark.parametrize("name", sorted(synth_data.REFERENCE_GENERATORS))
-def test_component_reads_match_spark(spark, tmp_path, ref_pdfs, name):
+def test_component_reads_match_spark(spark, tmp_path, ref_pdfs, kolkata, name):
     """Every reference dataset: a component keeps the Spark schema that
     ``createDataFrame`` gives its frame (so SQL++ plans see the same
     types), and ``snapshot_pdf`` equals the Spark snapshot, dtypes
-    included, with and without a buffered upsert."""
+    included, with and without a buffered upsert. The session is off
+    UTC: naive timestamps mean session-local time in every component,
+    as ``createDataFrame`` reads them."""
     pdf = ref_pdfs[name]
     key = synth_data.REFERENCE_GENERATORS[name][1]
     store = LsmStore(str(tmp_path / name), key=key)
