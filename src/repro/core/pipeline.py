@@ -38,8 +38,8 @@ from repro.core.partition_holder import (
 from repro.core.predeploy import PER_BATCH, PredeployedJob, snapshot_provider
 from repro.storage.sink import StorageSink
 
-#: Longest the computing loop blocks on an empty intake holder at a time.
-TAKE_TIMEOUT_S = 1.0
+#: Frames each holder queues before it back-pressures its producer.
+HOLDER_CAPACITY = 8
 
 
 @dataclass
@@ -75,13 +75,11 @@ class DecoupledPipeline:
     """Intake / computing / storage layers over partition holders."""
 
     def __init__(self, spark: SparkSession, udf, stores: dict,
-                 sink: StorageSink, *, holder_capacity: int = 8,
-                 refresh: str = PER_BATCH):
+                 sink: StorageSink, *, refresh: str = PER_BATCH):
         self.spark = spark
         self.udf = udf          # EnrichmentUdf (SQL++), JavaUdf, or None
         self.stores = stores
         self.sink = sink
-        self.holder_capacity = holder_capacity
         self.refresh = refresh
 
     def job(self) -> PredeployedJob:
@@ -101,8 +99,7 @@ class DecoupledPipeline:
         job.deploy()
 
         intake_holder = PassivePartitionHolder(
-            "intake", capacity=self.holder_capacity
-        )
+            "intake", capacity=HOLDER_CAPACITY)
         intake_error: list = []
 
         def intake_job():
@@ -117,7 +114,7 @@ class DecoupledPipeline:
         intake = threading.Thread(target=intake_job, name="intake-job")
         storage_holder = ActivePartitionHolder(
             "storage", downstream=self.sink.append_pdf_local,
-            capacity=self.holder_capacity,
+            capacity=HOLDER_CAPACITY,
         )
 
         times = []
@@ -125,12 +122,7 @@ class DecoupledPipeline:
         intake.start()
         try:
             # Active Feed Manager loop: one computing job at a time per feed
-            while True:
-                frame = intake_holder.take(timeout=TAKE_TIMEOUT_S)
-                if frame is None:
-                    continue
-                if frame is EOF:
-                    break
+            while (frame := intake_holder.take()) is not EOF:
                 b0 = time.perf_counter()
                 storage_holder.push(job.invoke(parser.parse(frame)))
                 times.append(time.perf_counter() - b0)

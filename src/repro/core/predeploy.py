@@ -7,13 +7,16 @@ enrichment run the same job; they differ only in when it builds its
 enrichment state, which the ``refresh`` policy chooses:
 
 * ``ONCE`` — at ``deploy()``: the paper's Static Enrichment w/ Java
-  (stock AsterixDB, Model 3). The Java UDF runs ``initialize`` once, and
-  reference updates during the feed are never seen. Stock AsterixDB
-  cannot run a stateful SQL++ UDF on a feed at all (§ 4.3.4), so a
-  SQL++ UDF, or no UDF, is refused under ``ONCE``.
+  (stock AsterixDB, Model 3). The job keeps the state the Java UDF's
+  ``initialize`` returned there, and reference updates during the feed
+  are never seen. Stock AsterixDB cannot run a stateful SQL++ UDF on a
+  feed at all (§ 4.3.4), so a SQL++ UDF, or no UDF, is refused under
+  ``ONCE``.
 * ``PER_BATCH`` — at every ``invoke()`` (the new framework, Model 2). The
   job asks its reference provider for fresh snapshots each time, so a
-  batch sees every update applied before its snapshot (footnote 4).
+  batch sees every update applied before its snapshot (footnote 4). The
+  state is a local of that invocation, so one job can serve several
+  invocations at once.
 
 Spark mapping (DESIGN.md § 2, § 7): classic PySpark analyses the plan
 at every ``transform`` step and re-plans at every action, so there is no
@@ -49,6 +52,7 @@ class PredeployedJob:
         self.udf = udf
         self.refresh = refresh
         self._ref_provider = ref_provider
+        self._state = None  # the ONCE state, built at deploy
         self.deployed = False
 
     def deploy(self) -> None:
@@ -58,7 +62,7 @@ class PredeployedJob:
             probe = self.spark.createDataFrame(_probe_batch())
             _ = udf.transform(self.spark, probe, self._ref_provider()).schema
         elif self.refresh == ONCE:
-            udf.initialize(self._ref_provider())  # resource files, once
+            self._state = udf.initialize(self._ref_provider())
         self.deployed = True
 
     def invoke(self, batch_pdf: pd.DataFrame) -> pd.DataFrame:
@@ -72,10 +76,11 @@ class PredeployedJob:
             batch_df = self.spark.createDataFrame(batch_pdf)
             return udf.transform(self.spark, batch_df,
                                  self._ref_provider()).toPandas()
+        state = self._state
         if self.refresh == PER_BATCH:
             # the per-batch state rebuild the paper measures in § 7.2
-            udf.initialize(self._ref_provider())
-        return udf.evaluate(batch_pdf)
+            state = udf.initialize(self._ref_provider())
+        return udf.evaluate(batch_pdf, state)
 
 
 def snapshot_provider(spark: SparkSession, udf, stores: dict):

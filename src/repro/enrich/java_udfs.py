@@ -3,19 +3,22 @@
 An AsterixDB Java UDF loads its reference data from local resource files
 in ``initialize()`` and then enriches record-by-record in ``evaluate()``
 using that frozen in-memory state. The analogues here are procedural
-pandas/numpy enrichers with the same life-cycle:
+pandas/numpy enrichers with the same life-cycle, but stateless:
+``initialize(resources)`` returns the state, ``evaluate(batch, state)``
+a new enriched frame, and the computing job (``repro.core.predeploy``)
+holds the state:
 
-* **Static Enrichment w/ Java** (stock AsterixDB): ``initialize()`` is
-  called once per feed — reference updates are never observed;
-* **Dynamic Enrichment w/ Java** (new framework): the computing job
-  re-``initialize()``s from a fresh store snapshot every batch, so the
-  state-rebuild cost is paid per invocation, exactly the trade-off the
-  paper measures.
+* **Static Enrichment w/ Java** (stock AsterixDB): the job calls
+  ``initialize()`` once per feed and keeps the result — reference
+  updates are never observed;
+* **Dynamic Enrichment w/ Java** (new framework): each invocation calls
+  ``initialize()`` on a fresh store snapshot, so the state-rebuild cost
+  is paid per invocation, exactly the trade-off the paper measures.
 
 Each Java UDF produces the same output columns as its SQL++ twin in
 ``repro.enrich.udfs`` so parity is oracle-checkable.
 
-Q1–Q3's hash map is a pandas ``Series`` indexed by the join key:
+Q1–Q3's state is a pandas ``Series`` indexed by the join key:
 ``evaluate`` maps the batch through it, and the index hashes the whole
 reference in compiled code at that first lookup. The map is still
 rebuilt at every ``initialize``; only a Python ``dict`` loop is avoided.
@@ -35,88 +38,76 @@ from repro.enrich.udfs import (
 
 
 class JavaUdf:
-    """Life-cycle base: ``initialize(resources)`` then ``evaluate(batch)``."""
+    """Life-cycle base: ``state = initialize(resources)``, then
+    ``evaluate(batch, state)``; the object itself holds no state."""
 
     name: str = ""
     refs: tuple = ()
     enrich_cols: tuple = ()
 
-    def __init__(self):
-        self._initialized = False
-
-    def initialize(self, resources: dict) -> None:
-        """Build in-memory state from resource frames (name -> pandas)."""
-        self._load(resources)
-        self._initialized = True
-
-    def _load(self, resources: dict) -> None:
+    def initialize(self, resources: dict):
+        """The state built from resource frames (name -> pandas)."""
         raise NotImplementedError
 
-    def evaluate(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if not self._initialized:
-            raise RuntimeError(f"{self.name}: initialize() before evaluate()")
-        return self._enrich(batch.copy())
-
-    def _enrich(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def evaluate(self, batch: pd.DataFrame, state) -> pd.DataFrame:
+        """A new frame: ``batch``'s rows with ``enrich_cols`` added."""
         raise NotImplementedError
 
 
-class SafetyRatingJava(JavaUdf):
+class _CountryMapJava(JavaUdf):
+    """Q1–Q3: the state is a ``Series`` from country to the enrichment
+    value; a country it lacks gets ``missing``."""
+
+    missing = ""
+    dtype = object
+
+    def evaluate(self, batch: pd.DataFrame, state: pd.Series) -> pd.DataFrame:
+        values = batch["country"].map(state).fillna(self.missing)
+        return batch.assign(
+            **{self.enrich_cols[0]: values.astype(self.dtype, copy=False)})
+
+
+class SafetyRatingJava(_CountryMapJava):
     """Q1: country -> safety rating via an in-memory hash map."""
 
     name = "safety_rating"
     refs = ("safety_ratings",)
     enrich_cols = ("safety_rating",)
 
-    def _load(self, resources: dict) -> None:
+    def initialize(self, resources: dict) -> pd.Series:
         r = resources["safety_ratings"]
-        self._ratings = pd.Series(r["safety_rating"].to_numpy(),
-                                  index=r["country_code"].to_numpy())
-
-    def _enrich(self, batch: pd.DataFrame) -> pd.DataFrame:
-        batch["safety_rating"] = (
-            batch["country"].map(self._ratings).fillna("")
-        )
-        return batch
+        return pd.Series(r["safety_rating"].to_numpy(),
+                         index=r["country_code"].to_numpy())
 
 
-class ReligiousPopulationJava(JavaUdf):
+class ReligiousPopulationJava(_CountryMapJava):
     """Q2: country -> total religious population, pre-aggregated at init."""
 
     name = "religious_population"
     refs = ("religious_populations",)
     enrich_cols = ("religious_population",)
+    missing = 0
+    dtype = "int64"
 
-    def _load(self, resources: dict) -> None:
+    def initialize(self, resources: dict) -> pd.Series:
         r = resources["religious_populations"]
-        self._totals = r.groupby("country_name")["population"].sum()
-
-    def _enrich(self, batch: pd.DataFrame) -> pd.DataFrame:
-        batch["religious_population"] = (
-            batch["country"].map(self._totals).fillna(0).astype("int64")
-        )
-        return batch
+        return r.groupby("country_name")["population"].sum()
 
 
-class LargestReligionsJava(JavaUdf):
+class LargestReligionsJava(_CountryMapJava):
     """Q3: country -> csv of top-3 religions, ranked at init."""
 
     name = "largest_religions"
     refs = ("religious_populations",)
     enrich_cols = ("largest_religions",)
 
-    def _load(self, resources: dict) -> None:
+    def initialize(self, resources: dict) -> pd.Series:
         r = resources["religious_populations"].sort_values(
             ["country_name", "population", "rid"],
             ascending=[True, False, True],
         )
         top3 = r.groupby("country_name").head(3)
-        self._top3 = top3.groupby("country_name")["religion_name"].apply(
-            ",".join)
-
-    def _enrich(self, batch: pd.DataFrame) -> pd.DataFrame:
-        batch["largest_religions"] = batch["country"].map(self._top3).fillna("")
-        return batch
+        return top3.groupby("country_name")["religion_name"].apply(",".join)
 
 
 class FuzzySuspectsJava(JavaUdf):
@@ -126,10 +117,11 @@ class FuzzySuspectsJava(JavaUdf):
     refs = ("suspects_names",)
     enrich_cols = ("related_suspects", "num_suspects")
 
-    def _load(self, resources: dict) -> None:
-        self._suspects = resources["suspects_names"][["sensitive_name"]].copy()
+    def initialize(self, resources: dict) -> pd.DataFrame:
+        return resources["suspects_names"][["sensitive_name"]]
 
-    def _enrich(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def evaluate(self, batch: pd.DataFrame,
+                 state: pd.DataFrame) -> pd.DataFrame:
         probe = pd.DataFrame(
             {
                 "id": batch["id"],
@@ -139,7 +131,7 @@ class FuzzySuspectsJava(JavaUdf):
         con = duckdb.connect()
         try:
             con.register("probe", probe)
-            con.register("suspects", self._suspects)
+            con.register("suspects", state)
             agg = con.execute(
                 f"""
                 SELECT p.id AS id,
@@ -173,23 +165,22 @@ class NearbyMonumentsJava(JavaUdf):
     refs = ("monuments",)
     enrich_cols = ("nearby_monuments", "num_monuments")
 
-    def _load(self, resources: dict) -> None:
+    def initialize(self, resources: dict) -> tuple:
         m = resources["monuments"]
-        self._ids = m["monument_id"].to_numpy()
-        self._lats = m["monument_lat"].to_numpy()
-        self._lons = m["monument_lon"].to_numpy()
+        return tuple(m[c].to_numpy()
+                     for c in ("monument_id", "monument_lat", "monument_lon"))
 
-    def _enrich(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def evaluate(self, batch: pd.DataFrame, state: tuple) -> pd.DataFrame:
+        ids, lats, lons = state
         names, counts = [], []
         r2 = MONUMENT_RADIUS**2
         for lat, lon in zip(batch["latitude"], batch["longitude"]):
-            d2 = (self._lats - lat) ** 2 + (self._lons - lon) ** 2
-            hits = np.sort(self._ids[d2 <= r2])
+            d2 = (lats - lat) ** 2 + (lons - lon) ** 2
+            hits = np.sort(ids[d2 <= r2])
             names.append(",".join(hits))
             counts.append(len(hits))
-        batch["nearby_monuments"] = names
-        batch["num_monuments"] = np.array(counts, dtype="int64")
-        return batch
+        return batch.assign(nearby_monuments=names,
+                            num_monuments=np.array(counts, dtype="int64"))
 
 
 JAVA_UDFS = (

@@ -70,8 +70,10 @@ def _as_instants(spark: SparkSession, pdf: pd.DataFrame) -> pd.DataFrame:
     if not cols:
         return pdf
     tz = _session_tz(spark)
-    return pdf.assign(**{c: pdf[c].dt.tz_localize(tz, ambiguous=False)
-                         for c in cols})
+    out = pdf.copy(deep=False)  # replaces columns; copies no other data
+    for c in cols:
+        out[c] = pdf[c].dt.tz_localize(tz, ambiguous=False)
+    return out
 
 
 def _as_wall_clock(spark: SparkSession, pdf: pd.DataFrame) -> pd.DataFrame:
@@ -82,6 +84,19 @@ def _as_wall_clock(spark: SparkSession, pdf: pd.DataFrame) -> pd.DataFrame:
     tz = _session_tz(spark)
     return pdf.assign(**{c: pdf[c].dt.tz_convert(tz).dt.tz_localize(None)
                          for c in cols})
+
+
+def write_parquet(spark: SparkSession, pdf: pd.DataFrame,
+                  path: str) -> pa.Schema:
+    """One parquet file, for store components and sink batches alike;
+    returns its Arrow schema. Naive timestamps are stored as session-local
+    instants, as ``spark.createDataFrame`` reads them, in microseconds
+    (Spark's parquet reader rejects nanoseconds)."""
+    table = pa.Table.from_pandas(_as_instants(spark, pdf),
+                                 preserve_index=False)
+    pq.write_table(table, path, coerce_timestamps="us",
+                   allow_truncated_timestamps=True)
+    return table.schema
 
 
 class _DiskComponent:
@@ -156,14 +171,10 @@ class LsmStore:
     def _write_component(self, spark: SparkSession, pdf: pd.DataFrame) -> None:
         comp = os.path.join(
             self.path, f"component-{next(self._component_id):05d}.parquet")
-        table = pa.Table.from_pandas(_as_instants(spark, pdf),
-                                     preserve_index=False)
-        # Spark's parquet reader rejects nanosecond timestamps
-        pq.write_table(table, comp, coerce_timestamps="us",
-                       allow_truncated_timestamps=True)
+        schema = write_parquet(spark, pdf, comp)
         # the schema spark.createDataFrame(pdf) would give
         self._disk.append(
-            _DiskComponent(spark, comp, from_arrow_schema(table.schema)))
+            _DiskComponent(spark, comp, from_arrow_schema(schema)))
 
     # -- read path ------------------------------------------------------------
 

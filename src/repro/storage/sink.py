@@ -5,7 +5,8 @@ partition holder, hash-partitions them by primary key, and writes them
 into the dataset's storage partitions. Here the sink hash-partitions by
 key into a fixed number of buckets (mirroring AsterixDB's hash
 partitioner) and appends parquet — one append per pushed batch, so
-storage cost is on the measured path exactly as in the paper.
+storage cost is on the measured path exactly as in the paper. Files are
+written as the LSM store's components are (``lsm_store.write_parquet``).
 """
 import itertools
 import os
@@ -13,6 +14,8 @@ import threading
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+
+from repro.storage.lsm_store import write_parquet
 
 #: Hash buckets per stored dataset (the storage partitions of the paper's
 #: hash partitioner).
@@ -38,18 +41,14 @@ class StorageSink:
         Driver-local: no Spark job per batch, so high-frequency small
         batches pay only the hash-bucket column and the parquet write.
         """
-        pdf = pdf.copy()
+        pdf = pdf.copy(deep=False)  # adds a column; copies no data
         pdf["_bucket"] = pd.util.hash_pandas_object(
             pdf[self.key], index=False
         ).astype("int64") % N_PARTITIONS
         with self._lock:
             file_id = next(self._file_id)
-        out = os.path.join(self.path, f"local-{file_id:06d}.parquet")
-        # pandas defaults to nanosecond timestamps, which Spark's parquet
-        # reader rejects (PARQUET_TYPE_ILLEGAL) — write microseconds.
-        pdf.to_parquet(
-            out, coerce_timestamps="us", allow_truncated_timestamps=True
-        )
+        write_parquet(self.spark, pdf,
+                      os.path.join(self.path, f"local-{file_id:06d}.parquet"))
         with self._lock:
             self._rows_written += len(pdf)
             self._batches_written += 1

@@ -4,7 +4,8 @@
 pandas (for the DuckDB oracle and Java-UDF analogues) and as Spark
 frames. District-like datasets use a slightly larger scale so the grid
 tiling stays meaningful at test size. ``ratings_store`` is a fresh store
-bulk-loaded with the safety ratings, for the pipeline tests.
+bulk-loaded with the safety ratings, for the pipeline tests. ``kolkata``
+sets the session time zone off UTC for the length of a test.
 """
 import pytest
 
@@ -39,3 +40,14 @@ def ratings_store(spark, tmp_path, ref_pdfs):
     store = LsmStore(str(tmp_path / "ratings"), key="country_code")
     store.bulk_load(spark, ref_pdfs["safety_ratings"])
     return store
+
+
+@pytest.fixture()
+def kolkata(spark):
+    """A session time zone off UTC (+05:30, no daylight saving), so a
+    timestamp read as UTC rather than session-local time shows."""
+    conf = "spark.sql.session.timeZone"
+    was = spark.conf.get(conf)
+    spark.conf.set(conf, "Asia/Kolkata")
+    yield
+    spark.conf.set(conf, was)

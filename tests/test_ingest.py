@@ -7,6 +7,7 @@ one feed driver with a different refresh policy. These tests pin both
 behaviours down deterministically, plus report accounting.
 """
 import dataclasses
+import threading
 
 import pytest
 
@@ -195,6 +196,50 @@ def test_refresh_policy_sets_when_state_is_built(spark, ratings_store):
             out = job.invoke(batch)
             assert "safety_rating" in out.columns and len(out) == 20
         assert len(calls) == reads, refresh
+
+
+def test_per_batch_java_job_is_reentrant(ref_pdfs):
+    """Two threads invoke one PER_BATCH Java job over different snapshots.
+    The first builds its state before the second builds its own, and
+    evaluates only after that: each batch's rows still come from its own
+    snapshot, because the state is a local of the invocation."""
+    ratings = ref_pdfs["safety_ratings"]
+    first_built, second_built = threading.Event(), threading.Event()
+
+    def provider():  # each thread's snapshot rates every country its name
+        name = threading.current_thread().name
+        return {"safety_ratings": ratings.assign(safety_rating=name)}
+
+    udf = java_udfs.SafetyRatingJava()
+    evaluate = udf.evaluate
+
+    def evaluate_in_turn(*args):
+        if threading.current_thread().name == "first":
+            first_built.set()
+            second_built.wait(timeout=30)
+        else:
+            second_built.set()
+        return evaluate(*args)
+
+    udf.evaluate = evaluate_in_turn
+    job = PredeployedJob(None, udf, provider, refresh=PER_BATCH)
+    job.deploy()
+    batch = synth_data.tweets_pdf(30, seed=7)
+    out = {}
+
+    def invoke():
+        out[threading.current_thread().name] = job.invoke(batch)
+
+    first = threading.Thread(target=invoke, name="first")
+    second = threading.Thread(target=invoke, name="second")
+    first.start()
+    assert first_built.wait(timeout=30)
+    second.start()
+    for t in (first, second):
+        t.join(timeout=30)
+    assert second_built.is_set() and sorted(out) == ["first", "second"]
+    for name, rows in out.items():
+        assert (rows["safety_rating"] == name).all(), name
 
 
 def test_once_is_static_java_only():

@@ -4,6 +4,7 @@ import importlib
 import json
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,19 @@ import pytest
 from repro import synth_data
 from repro.core import feed, pipeline
 from repro.core.feed import serialize
-from repro.core.pipeline import TAKE_TIMEOUT_S, DecoupledPipeline
+from repro.core.pipeline import DecoupledPipeline
 from repro.enrich import java_udfs, udfs
 from repro.storage.sink import StorageSink
 
 
 def _sink(spark, tmp_path, name="out"):
     return StorageSink(spark, str(tmp_path / name), key="id")
+
+
+@pytest.fixture()
+def one_frame_holders(monkeypatch):
+    """Holders of capacity 1: strict hand-over-hand flow."""
+    monkeypatch.setattr(pipeline, "HOLDER_CAPACITY", 1)
 
 
 def test_pipeline_no_udf_moves_all_records(spark, tmp_path):
@@ -56,10 +63,11 @@ def test_pipeline_with_java_udf(spark, tmp_path, ratings_store):
     assert sink.rows_written == 40
 
 
-def test_pipeline_tiny_holder_capacity_backpressure(spark, tmp_path):
+def test_pipeline_tiny_holder_capacity_backpressure(spark, tmp_path,
+                                                    one_frame_holders):
     """capacity=1 forces strict hand-over-hand flow; must still drain."""
     sink = _sink(spark, tmp_path)
-    p = DecoupledPipeline(spark, None, {}, sink, holder_capacity=1)
+    p = DecoupledPipeline(spark, None, {}, sink)
     assert p.run(80, batch_size=10).batches_stored == 8
     assert sink.rows_written == 80
 
@@ -91,7 +99,8 @@ def _new_layer_threads(before: set) -> list:
 
 
 def test_pipeline_udf_failure_stops_every_layer(spark, tmp_path,
-                                                ratings_store):
+                                                ratings_store,
+                                                one_frame_holders):
     calls = {"n": 0}
 
     def transform(spark, batch, refs):
@@ -105,18 +114,19 @@ def test_pipeline_udf_failure_stops_every_layer(spark, tmp_path,
     udf = dataclasses.replace(udfs.SAFETY_RATING, transform=transform)
     sink = _sink(spark, tmp_path)
     p = DecoupledPipeline(spark, udf, {"safety_ratings": ratings_store},
-                          sink, holder_capacity=1)
+                          sink)
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="udf failed"):
         p.run(400, batch_size=20)
-    assert time.perf_counter() - calls["failed_at"] < TAKE_TIMEOUT_S
+    assert time.perf_counter() - calls["failed_at"] < 1.0  # surfaced promptly
     assert _new_layer_threads(before) == []
     assert sink.rows_written == 40  # batches pushed before the failure
     assert p.run(60, batch_size=20).batches_stored == 3  # runs again
     assert sink.rows_written == 100
 
 
-def test_pipeline_sink_failure_stops_every_layer(spark, tmp_path):
+def test_pipeline_sink_failure_stops_every_layer(spark, tmp_path,
+                                                 one_frame_holders):
     class FailingSink(StorageSink):
         failed_at = None
 
@@ -125,16 +135,17 @@ def test_pipeline_sink_failure_stops_every_layer(spark, tmp_path):
             raise OSError("disk full")
 
     sink = FailingSink(spark, str(tmp_path / "out"), key="id")
-    p = DecoupledPipeline(spark, None, {}, sink, holder_capacity=1)
+    p = DecoupledPipeline(spark, None, {}, sink)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="downstream failed"):
         p.run(200, batch_size=10)  # 20 batches through capacity 1
-    assert time.perf_counter() - sink.failed_at < TAKE_TIMEOUT_S
+    assert time.perf_counter() - sink.failed_at < 1.0  # surfaced promptly
     assert _new_layer_threads(before) == []
 
 
 def test_pipeline_parse_failure_stops_every_layer(spark, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch,
+                                                  one_frame_holders):
     class BadThirdFrame(feed.TweetAdapter):
         """The third frame holds one record without ``country``."""
 
@@ -150,7 +161,7 @@ def test_pipeline_parse_failure_stops_every_layer(spark, tmp_path,
 
     monkeypatch.setattr(pipeline, "TweetAdapter", BadThirdFrame)
     sink = _sink(spark, tmp_path)
-    p = DecoupledPipeline(spark, None, {}, sink, holder_capacity=1)
+    p = DecoupledPipeline(spark, None, {}, sink)
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="country"):
         p.run(200, batch_size=20)
@@ -160,20 +171,26 @@ def test_pipeline_parse_failure_stops_every_layer(spark, tmp_path,
 
 # -- the benchmark's hooks ----------------------------------------------------
 # ingest_bench/probes.py swaps the classes this module builds a feed from
-# and stamps each batch at its parse call and when its push returns.
+# and stamps each batch at its parse call and when its push returns; its
+# traced_udf times a Java UDF's methods by assigning wrappers to the
+# instance, and a SQL++ UDF's transform by dataclasses.replace.
 
 @pytest.mark.parametrize(
-    "udf", [udfs.SAFETY_RATING, java_udfs.SafetyRatingJava()],
+    "make_udf, udf_spans",
+    [(lambda: udfs.SAFETY_RATING, ("udfs.transform",)),
+     (java_udfs.SafetyRatingJava,
+      ("java_udfs.initialize", "java_udfs.evaluate"))],
     ids=["sqlpp", "java"],
 )
 def test_benchmark_probes_stamp_every_batch(spark, tmp_path, ratings_store,
-                                            monkeypatch, udf):
+                                            monkeypatch, make_udf, udf_spans):
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parents[1] / "ingest_bench"))
     probes = importlib.import_module("probes")
     frames = [serialize(synth_data.tweets_pdf(20, seed=7, start_id=20 * i))
               for i in range(3)]
     rec = probes.Recorder(spark, traced=range(3))
+    udf = probes.traced_udf(rec, make_udf())
     p = DecoupledPipeline(spark, udf, {"safety_ratings": ratings_store},
                           _sink(spark, tmp_path))
     with probes.instrumented(rec, frames):
@@ -182,6 +199,9 @@ def test_benchmark_probes_stamp_every_batch(spark, tmp_path, ratings_store,
     assert sorted(rec.parse_start) == sorted(rec.push_end) == [0, 1, 2]
     invoked = {s[5] for s in rec.spans if s[1] == probes.PREDEPLOY_INVOKE}
     assert invoked == {0, 1, 2}
+    # one span per UDF entry point per batch (deploy's calls are untraced)
+    timed = Counter((s[1], s[5]) for s in rec.spans if s[1] in udf_spans)
+    assert timed == {(name, b): 1 for name in udf_spans for b in range(3)}
 
 
 @pytest.mark.parametrize(

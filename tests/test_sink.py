@@ -6,6 +6,7 @@ import threading
 import pandas as pd
 import pytest
 
+from repro import synth_data
 from repro.storage.sink import N_PARTITIONS, StorageSink
 
 
@@ -75,3 +76,17 @@ def test_concurrent_appends_keep_every_file(spark, tmp_path, pdf):
     assert len(files) == len(set(files)) == 100
     assert sink.batches_written == 100
     assert sink.rows_written == sink.read().count() == 100 * len(pdf)
+
+
+def test_timestamps_read_back_as_the_batch_holds_them(spark, tmp_path,
+                                                     kolkata):
+    """Off UTC, the stored dataset has the Spark types and values of the
+    batch's ``createDataFrame``: a naive ``created_at`` is session-local
+    time, not a zone-less wall clock."""
+    tweets = synth_data.tweets_pdf(5, seed=7)
+    sink = StorageSink(spark, str(tmp_path / "out"), key="id")
+    sink.append_pdf_local(tweets)
+    batch = spark.createDataFrame(tweets)
+    back = sink.read().select(*batch.columns)
+    assert back.schema == batch.schema
+    assert back.orderBy("id").collect() == batch.orderBy("id").collect()
