@@ -51,6 +51,10 @@ from repro.synth_data import (
 #: 7 left Largest Religions' slope (about 10 µs/record) inside the noise
 #: in one of two runs.
 ROUNDS = 10
+#: Timed parses in the parse-cost measurement; it keeps their minimum.
+#: One timed parse read 5.9–12.5 µs/record across six calibrations of
+#: the same code on a 4-core container.
+PARSE_REPS = 5
 #: Fit batch sizes per UDF: the tables' own 1X and 16X batches, except
 #: for the naive monument scan, which is quadratic in |batch| ×
 #: |monuments| (its slope is linear in batch size wherever it is sampled).
@@ -101,12 +105,17 @@ def measure_intake_cost(n: int = 4000, seed: int = 7) -> float:
 
 
 def measure_parse_cost(n: int = 4000, seed: int = 7) -> float:
-    """Seconds per record of the typed per-record parse (ADM analogue)."""
+    """Seconds per record of the typed per-record parse (ADM analogue):
+    the fastest of ``PARSE_REPS`` timed parses after a warm-up, as a UDF
+    fit keeps each point's minimum."""
     frame = feed_mod.serialize(synth_data.tweets_pdf(n, seed=seed))
     feed_mod.parse(frame)  # warm
-    t0 = time.perf_counter()
-    feed_mod.parse(frame)
-    return (time.perf_counter() - t0) / n
+    best = float("inf")
+    for _ in range(PARSE_REPS):
+        t0 = time.perf_counter()
+        feed_mod.parse(frame)
+        best = min(best, time.perf_counter() - t0)
+    return best / n
 
 
 def measure_dispatch_base(spark: SparkSession, reps: int = 10) -> float:

@@ -35,7 +35,8 @@ carry no version.
 * ``snapshot_pdf`` is the same read for a Java UDF's resource files.
   It takes its snapshot through ``snapshot`` and reads the components
   that snapshot took with pyarrow, so it runs no Spark job; every call
-  re-reads the files;
+  re-reads the files, and builds each string anew rather than interning
+  equal ones (the frame serves one batch);
 * ``flush`` migrates the memory component to a new disk component
   (LSM flush), resetting read amplification.
 
@@ -119,9 +120,12 @@ class _DiskComponent:
         return self._spark.read.schema(self._schema).parquet(self._path)
 
     def read_pdf(self) -> pd.DataFrame:
-        # nanoseconds, as Spark's toPandas gives and as upserts arrive
+        # Nanoseconds, as Spark's toPandas gives and as upserts arrive.
+        # Equal strings are not interned into one object: that hashes
+        # every string of the file on every read, and a read's frame
+        # lives for one batch.
         return _as_wall_clock(self._spark, pq.read_table(self._path).to_pandas(
-            coerce_temporal_nanoseconds=True))
+            coerce_temporal_nanoseconds=True, deduplicate_objects=False))
 
 
 class LsmStore:

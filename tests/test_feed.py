@@ -135,3 +135,99 @@ def test_parse_coerces_field_types():
     out = feed.parse((json.dumps(rec) + "\n").encode())
     assert out["id"].iloc[0] == pdf["id"].iloc[0]
     assert isinstance(out["latitude"].iloc[0], float)
+
+
+def _wire(rec: dict, ensure_ascii: bool = True) -> bytes:
+    return (json.dumps(rec, ensure_ascii=ensure_ascii) + "\n").encode()
+
+
+def _one_record() -> dict:
+    return json.loads(feed.serialize(synth_data.tweets_pdf(1, seed=3)))
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+def test_parse_keeps_raw_unicode_line_separator_in_record(sep):
+    """A raw U+2028 (or U+2029, NEL) is a valid character inside a JSON
+    string; only the wire's ``\\n`` ends a record."""
+    rec = _one_record()
+    rec["text"] = f"before{sep}after"
+    frame = _wire(rec, ensure_ascii=False) * 2
+    assert sep.encode() in frame
+    out = feed.parse(frame)
+    assert len(out) == 2
+    assert out["text"].tolist() == [f"before{sep}after"] * 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_parse_rejects_non_finite_tokens(value):
+    frame = _wire({**_one_record(), "latitude": value})  # NaN, Infinity
+    with pytest.raises(ValueError):
+        feed.parse(frame)
+
+
+def test_serialize_writes_strict_json():
+    pdf = synth_data.tweets_pdf(1, seed=3).assign(latitude=float("nan"))
+    with pytest.raises(ValueError):
+        feed.serialize(pdf)
+
+
+@pytest.mark.parametrize("big", [12345678901234567890123, 2**63,
+                                 -2**63 - 1, "12345678901234567890123"])
+def test_parse_rejects_id_beyond_int64(big):
+    with pytest.raises(ValueError, match="int64"):
+        feed.parse(_wire({**_one_record(), "id": big}))
+
+
+def test_parse_accepts_int64_extremes():
+    rec = _one_record()
+    frame = b"".join(_wire({**rec, "id": i}) for i in (-2**63, 2**63 - 1))
+    assert feed.parse(frame)["id"].tolist() == [-2**63, 2**63 - 1]
+
+
+def test_parse_keeps_open_type_fields():
+    """TweetType is open: a field the datatype does not name is kept."""
+    rec = _one_record()
+    rec["lang"] = "en"
+    rec["entities"] = {"hashtags": ["a", "b"]}
+    out = feed.parse(_wire(rec))
+    assert out["lang"].tolist() == ["en"]
+    assert out["entities"].tolist() == [{"hashtags": ["a", "b"]}]
+
+
+def _reference_parse(frame: bytes) -> pd.DataFrame:
+    """The wire format read with ``json.loads``, one line per record."""
+    rows = []
+    for line in frame.split(b"\n"):
+        if line:
+            rec = json.loads(line)
+            user = rec.pop("user")
+            rec["user_screen_name"] = user["screen_name"]
+            rec["user_name"] = user["name"]
+            rec["created_at"] = pd.Timestamp(rec["created_at"])
+            rows.append(rec)
+    return pd.DataFrame(rows)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+#: any text, with line ends and the characters JSON must escape drawn often
+_text = st.text(st.characters() | st.sampled_from("\u2028\u2029\x85\r\n\"\\"))
+_tweet = st.fixed_dictionaries({
+    "id": st.integers(-2**63, 2**63 - 1),
+    "text": _text,
+    "country": st.text(max_size=4),
+    "latitude": _finite,
+    "longitude": _finite,
+    "created_at": st.datetimes(min_value=datetime(1700, 1, 1),
+                               max_value=datetime(2200, 12, 31)),
+    "user": st.fixed_dictionaries({"screen_name": st.text(max_size=8),
+                                   "name": st.text(max_size=8)}),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_tweet, min_size=1, max_size=6), st.booleans())
+def test_parse_matches_json_reference(tweets, ensure_ascii):
+    frame = b"".join(
+        _wire({**t, "created_at": t["created_at"].isoformat()}, ensure_ascii)
+        for t in tweets)
+    pd.testing.assert_frame_equal(feed.parse(frame), _reference_parse(frame))
