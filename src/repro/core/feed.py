@@ -116,7 +116,7 @@ def parse(frame: bytes) -> pd.DataFrame:
     records. The frame's bytes are split at line ends (``\\n``, ``\\r``),
     so a raw U+2028 inside a string stays in its record, and each line
     is decoded by ``orjson.loads``, which refuses ``NaN``/``Infinity``
-    with a ``ValueError`` as strict JSON does. Each timestamp goes
+    and escaped lone surrogates with a ``ValueError``. Each timestamp goes
     through the C ISO-8601 parser (``datetime.fromisoformat``,
     microsecond resolution); the frame's column is ``datetime64[ns]``.
     Parsing is the dominant per-record ingestion cost in the paper (it

@@ -184,6 +184,15 @@ def test_parse_accepts_int64_extremes():
     assert feed.parse(frame)["id"].tolist() == [-2**63, 2**63 - 1]
 
 
+def test_parse_rejects_lone_surrogate_escape():
+    """``"\\ud800"`` is valid JSON syntax but no Unicode text: it could
+    not be stored as UTF-8, so the parser refuses it."""
+    frame = _wire({**_one_record(), "text": "a\ud800b"})
+    assert b"\\ud800" in frame
+    with pytest.raises(ValueError):
+        feed.parse(frame)
+
+
 def test_parse_keeps_open_type_fields():
     """TweetType is open: a field the datatype does not name is kept."""
     rec = _one_record()
@@ -209,8 +218,10 @@ def _reference_parse(frame: bytes) -> pd.DataFrame:
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-#: any text, with line ends and the characters JSON must escape drawn often
-_text = st.text(st.characters() | st.sampled_from("\u2028\u2029\x85\r\n\"\\"))
+#: any UTF-8 text, with line ends and the characters JSON must escape
+#: drawn often
+_text = st.text(st.characters(codec="utf-8")
+                | st.sampled_from("\u2028\u2029\x85\r\n\"\\"))
 _tweet = st.fixed_dictionaries({
     "id": st.integers(-2**63, 2**63 - 1),
     "text": _text,
