@@ -25,8 +25,9 @@ process reuses them, so one run's simulated tables rest on one set of
 constants. Nothing is read back from disk.
 
 The constants the simulator models rather than measures (per-node
-dispatch, the dispatch scale, the memory-pressure penalty and which
-UDFs it applies to) live in ``repro.cluster.simulator``.
+dispatch, the dispatch scale, Fig 24's dispatch taken from the paper's
+refresh rates, the memory-pressure penalty and which UDFs it applies
+to) live in ``repro.cluster.simulator``.
 """
 import dataclasses
 import json

@@ -6,7 +6,8 @@ constants measured on this machine (``repro.cluster.calibrate``). The
 machine's full parallelism is treated as the paper's 6-node (12-slot)
 baseline; other cluster sizes scale the parallelizable components.
 
-Model, per computing-job invocation of batch size ``B`` on ``N`` nodes:
+Enrichment model (Figs 28, 30, 31), per computing-job invocation of
+batch size ``B`` on ``N`` nodes:
 
     t(N, B) = dispatch(N) + serial + state·r·(B0/N) + rec·B·(B0/N)
               + idx·B + spill(N)·state-term
@@ -37,7 +38,13 @@ parsing on intake node(s) inside one continuous job (throughput =
 nodes/(intake+parse), flat for a single intake node); the new framework
 moves parsing into per-batch computing jobs (parse parallelizes across
 the cluster, intake alone stays on the intake node(s), dispatch is paid
-per batch).
+per batch). A no-UDF job's dispatch comes from the paper's own Fig 24
+refresh rates rather than from ``dispatch(N)``: it is
+``BASIC_DISPATCH_RECORDS_24`` records of parse work at 24 nodes, in the
+measured parse cost, and grows in proportion to N. The sweep's shapes
+then keep the paper's ratio of dispatch to parse however fast this
+machine parses; under the millisecond ``dispatch(N)``, balanced dynamic
+16X grows with N only while parse costs more than 3.6 µs/record.
 """
 from dataclasses import dataclass
 
@@ -56,10 +63,17 @@ PER_NODE_DISPATCH_S = 0.0005
 #: Measured local-Spark job launch (~80–180 ms under gVisor) overstates
 #: an AsterixDB *predeployed-job invocation* — a single message round
 #: trip, not a full DAG-scheduler pass — by over an order of magnitude.
-#: The simulator scales the measured base down by this factor so the
-#: simulated refresh rates land in the paper's regime; the growth-with-N
-#: term below is what drives the sweep shapes either way.
+#: The simulator scales the measured base down by this factor so an
+#: enrichment job's simulated overhead lands in the paper's regime; the
+#: growth-with-N term above is what drives the sweep shapes either way.
 DISPATCH_SCALE = 0.05
+#: Fig 24's jobs run no UDF, and the paper's refresh rates for them, 68 /
+#: 27 / 10 jobs/s at 24 nodes for batches of 420 / 1,680 / 6,720
+#: records, fix their dispatch against their per-record work: a
+#: least-squares line t(B) = d + c·B through the cycles 1/68, 1/27 and
+#: 1/10 s gives d = 11.7 ms and c = 13.2 µs/record, so one invocation at
+#: 24 nodes costs as much as d/c = 880 records of the batch's work.
+BASIC_DISPATCH_RECORDS_24 = 880
 SPILL_PENALTY = 3.0          # state-cost multiplier when fully memory-starved
 SPILL_FREE_NODES = 18.0      # cluster size at which Q7's join fits in memory
 #: UDFs whose reference-to-reference joins spill on the paper's hardware.
@@ -87,7 +101,8 @@ class SimulatedCluster:
     # -- shared terms ---------------------------------------------------------
 
     def dispatch_s(self) -> float:
-        """Per-invocation job start/stop overhead — grows with N."""
+        """Per-invocation job start/stop overhead of an enrichment job —
+        grows with N."""
         return (
             self.cal.job_dispatch_base_s * DISPATCH_SCALE
             + PER_NODE_DISPATCH_S * self.n_nodes
@@ -141,12 +156,19 @@ class SimulatedCluster:
         stage_s = max(self.cal.parse_s_per_record, self.cal.intake_s_per_record)
         return n_intake * CORES_PER_NODE / stage_s
 
+    def basic_dispatch_s(self) -> float:
+        """Per-invocation overhead of a no-UDF computing job (Fig 24):
+        ``BASIC_DISPATCH_RECORDS_24`` records of parse work on a 24-node
+        cluster's slots, scaled by N/24 as messages fan out to every node."""
+        parse_24_s = self.cal.parse_s_per_record / (24 * CORES_PER_NODE)
+        return BASIC_DISPATCH_RECORDS_24 * parse_24_s * self.n_nodes / 24
+
     def dynamic_throughput(self, batch_size: int, balanced: bool) -> float:
         """New framework: parse runs inside per-batch computing jobs,
         parallelized across the cluster; throughput is the slower of the
         intake layer and the computing-job cycle (they overlap)."""
         slots = self.n_nodes * CORES_PER_NODE
         parse_batch_s = self.cal.parse_s_per_record * batch_size / slots
-        cycle_s = self.dispatch_s() + parse_batch_s
+        cycle_s = self.basic_dispatch_s() + parse_batch_s
         compute_rate = batch_size / cycle_s
         return min(self.intake_rate(balanced), compute_rate)

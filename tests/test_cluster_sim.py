@@ -9,7 +9,8 @@ from repro.cluster.calibrate import (
     measure_intake_cost, measure_parse_cost,
 )
 from repro.cluster.simulator import (
-    MEM_HUNGRY_UDFS, PER_NODE_DISPATCH_S, SimulatedCluster,
+    BASIC_DISPATCH_RECORDS_24, MEM_HUNGRY_UDFS, PER_NODE_DISPATCH_S,
+    SimulatedCluster,
 )
 from repro.enrich import udfs
 from repro.synth_data import make_ref_pdfs
@@ -99,6 +100,29 @@ def test_balanced_dynamic_close_then_falls_behind_balanced_static():
         / SimulatedCluster(24, CAL).dynamic_throughput(6720, True)
     )
     assert big_gap > small_gap >= 1.0
+
+
+@pytest.mark.parametrize("parse_us", [2.0, 3.5, 60.0])
+def test_basic_dispatch_keeps_paper_ratio_at_any_parse_cost(parse_us):
+    """Fig 24: a no-UDF job's dispatch is stated in parse work, so the
+    24-node refresh rates keep the paper's 1X/16X ratio (68/10) and
+    balanced dynamic 16X grows from 1 to 24 nodes by the same factor,
+    however fast the machine parses."""
+    cal = Calibration(intake_s_per_record=parse_us * 1e-6 / 100,
+                      parse_s_per_record=parse_us * 1e-6,
+                      job_dispatch_base_s=0.03)
+
+    def bd16(n):
+        return SimulatedCluster(n, cal).dynamic_throughput(6720, True)
+
+    c24 = SimulatedCluster(24, cal)
+    rate_ratio = (c24.dynamic_throughput(420, True) / 420) / (
+        c24.dynamic_throughput(6720, True) / 6720
+    )
+    assert 5.0 < rate_ratio < 6.8
+    # cycles in units of one record's parse: 6720/(2N) plus the dispatch
+    d24 = BASIC_DISPATCH_RECORDS_24 / 48
+    assert bd16(24) / bd16(1) == pytest.approx((3360 + d24 / 24) / (140 + d24))
 
 
 # -- Figs 28/30/31 shapes -----------------------------------------------------
