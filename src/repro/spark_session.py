@@ -5,6 +5,13 @@ Master and driver memory are read when pyspark launches the JVM, from
 ``PYSPARK_SUBMIT_ARGS``, whose default ``get_spark`` sets before it
 builds the session. The builder settings are the ones a session honours
 after launch.
+
+The driver JVM runs the parallel collector. Under G1, the default, how
+much of the heap a feed touches turns on G1's pause-time young sizing
+and its adaptive marking threshold. Over ten 20 s ``sqlpp_fresh``
+benchmark runs with a 1g heap, the quartiles of the peak RSS (Python
+driver plus JVM) were 155 MB apart under G1 and 35 MB apart under the
+parallel collector, and throughput was no lower (4-core container).
 """
 import os
 
@@ -25,6 +32,7 @@ def get_spark(app: str) -> SparkSession:
         f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
+        "--driver-java-options -XX:+UseParallelGC "
         "pyspark-shell",
     )
     return (
